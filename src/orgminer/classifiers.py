@@ -2,8 +2,8 @@
 
 All models work on float feature matrices and 0/1 integer labels.  Every
 model exposes real-valued `scores` (higher means more likely class 1) so
-the evaluation code can always compute an AUC; `predict` thresholds or
-votes those scores into hard labels.
+the evaluation code can always compute an AUC; `predict` thresholds
+those scores into hard labels at one half (`labels`).
 
 When a training fold contains a single class, every model falls back to
 majority voting and emits a warning rather than failing.
@@ -56,6 +56,8 @@ def _standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class BaseClassifier:
     name = "base"
+    # majority voters (zero-r, one-r) prefer class 0 on an exact one-half tie
+    strict_majority = False
 
     def __init__(self) -> None:
         self._fallback: ZeroR | None = None
@@ -90,11 +92,14 @@ class BaseClassifier:
         return self._scores(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        self._require_trained()
-        X = np.asarray(X, dtype=np.float64)
-        if self._fallback is not None:
-            return self._fallback.predict(X)
-        return self._predict(X)
+        return self.labels(self.scores(X))
+
+    def labels(self, scores: np.ndarray) -> np.ndarray:
+        """Hard 0/1 labels from scores this model computed."""
+        model = self if self._fallback is None else self._fallback
+        scores = np.asarray(scores)
+        above = scores > 0.5 if model.strict_majority else scores >= 0.5
+        return above.astype(np.int64)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         raise NotImplementedError
@@ -102,14 +107,12 @@ class BaseClassifier:
     def _scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return (self._scores(X) >= 0.5).astype(np.int64)
-
 
 class ZeroR(BaseClassifier):
     """Majority-class baseline; constant score equal to class-1 prevalence."""
 
     name = "zero-r"
+    strict_majority = True
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ZeroR":
         X, y = _check_training(X, y)
@@ -119,14 +122,9 @@ class ZeroR(BaseClassifier):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self._rate = float(y.mean())
-        # prefer class 0 on an exact tie
-        self._label = 1 if self._rate > 0.5 else 0
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self._rate)
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return np.full(X.shape[0], self._label, dtype=np.int64)
 
 
 class OneR(BaseClassifier):
@@ -138,6 +136,7 @@ class OneR(BaseClassifier):
     """
 
     name = "one-r"
+    strict_majority = True
 
     def __init__(self, min_bucket: int = 6) -> None:
         super().__init__()
@@ -160,7 +159,7 @@ class OneR(BaseClassifier):
         return np.unique(quantiles)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        best = (-1.0, 0, np.empty(0), np.zeros(1), np.zeros(1))
+        best = (-1.0, 0, np.empty(0), np.zeros(1))
         for f in range(X.shape[1]):
             edges = self._bin_edges(X[:, f])
             assigned = np.searchsorted(edges, X[:, f], side="right")
@@ -173,17 +172,14 @@ class OneR(BaseClassifier):
             correct = np.where(majority[assigned] == y, 1, 0).sum()
             accuracy = correct / y.shape[0]
             if accuracy > best[0]:
-                best = (accuracy, f, edges, rate, majority)
-        _, self._feature, self._edges, self._rate, self._majority = best
+                best = (accuracy, f, edges, rate)
+        _, self._feature, self._edges, self._rate = best
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._edges, X[:, self._feature], side="right")
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return self._rate[self._apply(X)]
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self._majority[self._apply(X)]
 
 
 class KNearest(BaseClassifier):

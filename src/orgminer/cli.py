@@ -143,16 +143,8 @@ def _cmd_crawl(args) -> int:
         profiles_to_jsonl_bytes(result.graph.profiles)
     )
     stats = result.stats
-    payload = {
-        "fetched": stats.fetched,
-        "confirmed": stats.confirmed,
-        "not_found": stats.not_found,
-        "truncated": stats.truncated,
-        "stop_reason": stats.stop_reason,
-        "precision": stats.precision,
-    }
     (out / "crawl_stats.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        json.dumps(stats.to_dict(), sort_keys=True, indent=1) + "\n"
     )
     if args.save_state:
         save_state(result.state, args.save_state)

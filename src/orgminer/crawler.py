@@ -13,8 +13,10 @@ Stopping:
   and the last ``window_size`` fetches produced no new member. The check
   runs after each completed fetch.
 
-With ``concurrency_width == 1`` a crawl is fully deterministic; larger
-widths fetch in parallel and apply completions in completion order.
+The FIFO baseline (``bfs_crawl``) queues every candidate at priority 0
+and never raises it, so the same frontier pops in first-enqueue order.
+Widths above 1 fetch a batch in parallel and apply it in pop order, so
+every crawl is deterministic.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import heapq
 import json
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
+from .utils import stable_json
 
 STATE_FORMAT_VERSION = 1
 
@@ -195,58 +199,13 @@ class Frontier:
         return f
 
 
-class FifoFrontier:
-    """Plain FIFO queue with the Frontier interface; priorities ignored."""
-
-    def __init__(self):
-        self._queue: deque[int] = deque()
-        self._queued: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._queued
-
-    def push(self, node: int, priority: int) -> None:
-        if node in self._queued:
-            raise CrawlError(f"node {node} already queued")
-        self._queue.append(node)
-        self._queued.add(node)
-
-    def increase(self, node: int, by: int = 1) -> None:
-        pass  # a FIFO baseline tracks no priorities
-
-    def pop(self) -> tuple[int, int]:
-        node = self._queue.popleft()
-        self._queued.discard(node)
-        return node, 0
-
-    def max_priority(self) -> int | None:
-        return 0 if self._queue else None
-
-    def items(self) -> dict[int, int]:
-        return {node: 0 for node in self._queue}
-
-    def dump(self) -> dict:
-        return {"entries": [[node, 0, i] for i, node in enumerate(self._queue)],
-                "next_seq": len(self._queue)}
-
-    @classmethod
-    def restore(cls, data: dict) -> "FifoFrontier":
-        f = cls()
-        for node, _prio, _seq in data["entries"]:
-            f.push(int(node), 0)
-        return f
-
-
 @dataclass
 class CrawlState:
     """Everything a crawl needs to continue exactly where it stopped."""
 
     config: CrawlConfig
     strategy: str  # "priority" | "fifo"
-    frontier: Frontier | FifoFrontier
+    frontier: Frontier
     crawled: set[int]
     confirmed: set[int]
     edges: set[tuple[int, int]]
@@ -260,10 +219,11 @@ class CrawlState:
     def fresh(
         cls, config: CrawlConfig, fingerprint: str, strategy: str = "priority"
     ) -> "CrawlState":
-        frontier = Frontier() if strategy == "priority" else FifoFrontier()
+        frontier = Frontier()
+        seed_priority = config.seed_priority if strategy == "priority" else 0
         for seed in config.seeds:
             if seed not in frontier:
-                frontier.push(seed, config.seed_priority)
+                frontier.push(seed, seed_priority)
         return cls(
             config=config,
             strategy=strategy,
@@ -295,7 +255,7 @@ class CrawlState:
             "fetch_count": self.fetch_count,
             "not_found": self.not_found,
         }
-        return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8")
+        return (stable_json(payload) + "\n").encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "CrawlState":
@@ -320,8 +280,7 @@ class CrawlState:
             strategy = payload["strategy"]
             if strategy not in ("priority", "fifo"):
                 raise StateError(f"unknown strategy {strategy!r}")
-            frontier_cls = Frontier if strategy == "priority" else FifoFrontier
-            frontier = frontier_cls.restore(payload["frontier"])
+            frontier = Frontier.restore(payload["frontier"])
             window: deque = deque(maxlen=config.window_size)
             window.extend(int(x) for x in payload["window"])
             state = cls(
@@ -359,6 +318,9 @@ class CrawlStats:
     def precision(self) -> float:
         return self.confirmed / self.fetched if self.fetched else 0.0
 
+    def to_dict(self) -> dict:
+        return {**asdict(self), "precision": self.precision}
+
 
 @dataclass
 class CrawlResult:
@@ -382,14 +344,28 @@ def resume(path: str | Path, src: FetchSource) -> CrawlState:
     return state
 
 
-def _check_resume_config(cfg: CrawlConfig, state: CrawlState) -> None:
-    fixed = ("seeds", "keywords", "version", "window_size", "seed_priority")
-    for name in fixed:
+def _start(
+    src: FetchSource, cfg: CrawlConfig, state: CrawlState | None, strategy: str
+) -> CrawlState:
+    """A fresh state, or ``state`` checked against ``cfg`` and ``strategy``.
+
+    A resume takes only ``max_fetches`` and ``concurrency_width`` from ``cfg``."""
+    if state is None:
+        return CrawlState.fresh(cfg, src.fingerprint, strategy=strategy)
+    for name in ("seeds", "keywords", "version", "window_size", "seed_priority"):
         if getattr(cfg, name) != getattr(state.config, name):
             raise StateError(
                 f"config field {name!r} differs from the saved crawl; "
                 "only max_fetches and concurrency_width may change on resume"
             )
+    if state.strategy != strategy:
+        raise StateError("saved state came from a different crawl strategy")
+    state.config = replace(
+        state.config,
+        max_fetches=cfg.max_fetches,
+        concurrency_width=cfg.concurrency_width,
+    )
+    return state
 
 
 AuditHook = Callable[[CrawlState, int], None]
@@ -406,18 +382,7 @@ def crawl(
     ``audit_hook(state, node)`` fires after each completed fetch, before
     the stopping check; tests use it to audit frontier invariants.
     """
-    if state is None:
-        state = CrawlState.fresh(cfg, src.fingerprint, strategy="priority")
-    else:
-        _check_resume_config(cfg, state)
-        if state.strategy != "priority":
-            raise StateError("saved state came from a different crawl strategy")
-        state.config = replace(
-            state.config,
-            max_fetches=cfg.max_fetches,
-            concurrency_width=cfg.concurrency_width,
-        )
-    return _run(src, state, audit_hook)
+    return _run(src, _start(src, cfg, state, "priority"), audit_hook)
 
 
 def bfs_crawl(
@@ -431,18 +396,7 @@ def bfs_crawl(
     The ``v2`` priority condition is vacuous here, so ``v2`` reduces to
     the sterile-window test alone.
     """
-    if state is None:
-        state = CrawlState.fresh(cfg, src.fingerprint, strategy="fifo")
-    else:
-        _check_resume_config(cfg, state)
-        if state.strategy != "fifo":
-            raise StateError("saved state came from a different crawl strategy")
-        state.config = replace(
-            state.config,
-            max_fetches=cfg.max_fetches,
-            concurrency_width=cfg.concurrency_width,
-        )
-    return _run(src, state, audit_hook)
+    return _run(src, _start(src, cfg, state, "fifo"), audit_hook)
 
 
 def _fetch_one(src: FetchSource, node: int):
@@ -456,6 +410,7 @@ def _run(
     src: FetchSource, state: CrawlState, audit_hook: AuditHook | None
 ) -> CrawlResult:
     cfg = state.config
+    focused = state.strategy == "priority"
     budget = cfg.max_fetches
     stop_reason: str | None = None
     truncated = False
@@ -478,6 +433,7 @@ def _run(
         if cfg.concurrency_width > 1
         else None
     )
+    fetch = partial(_fetch_one, src)
     try:
         while stop_reason is None:
             if len(state.frontier) == 0:
@@ -495,11 +451,7 @@ def _run(
                 node, _priority = state.frontier.pop()
                 state.crawled.add(node)
                 batch.append(node)
-            if executor is None:
-                results = [_fetch_one(src, node) for node in batch]
-            else:
-                futures = [executor.submit(_fetch_one, src, node) for node in batch]
-                results = [f.result() for f in as_completed(futures)]
+            results = map(fetch, batch) if executor is None else executor.map(fetch, batch)
             for node, fetched in results:
                 state.fetch_count += 1
                 if fetched is None:
@@ -518,10 +470,10 @@ def _run(
                         for friend in friends:
                             if friend == node or friend in state.crawled:
                                 continue
-                            if friend in state.frontier:
+                            if friend not in state.frontier:
+                                state.frontier.push(friend, 1 if focused else 0)
+                            elif focused:
                                 state.frontier.increase(friend)
-                            else:
-                                state.frontier.push(friend, 1)
                     else:
                         state.window.append(0)
                 if audit_hook is not None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .centrality import MEASURES, CentralityTable
 from .classifiers import CLASSIFIER_NAMES, make_classifier
@@ -166,13 +165,15 @@ def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> np.ndarray
 
 def auc_rank_statistic(scores: Sequence[float], labels: Sequence[int]) -> float:
     """AUC as the tie-corrected Mann-Whitney statistic on average ranks."""
+    from scipy.stats import rankdata  # deferred: scipy.stats is slow to import
+
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     positives = int(y.sum())
     negatives = y.shape[0] - positives
     if positives == 0 or negatives == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = stats.rankdata(s)
+    ranks = rankdata(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
 
@@ -237,11 +238,12 @@ def cross_validate(
             fallback_folds += 1
         model = make_classifier(kind, seed=seed)
         model.fit(X[train], y[train])
-        pooled_pred[test] = model.predict(X[test])
+        scores = model.scores(X[test])
+        pooled_pred[test] = model.labels(scores)
         if test.any():
             fold_accuracies.append(accuracy_percent(y[test], pooled_pred[test]))
             if np.unique(y[test]).size == 2:
-                fold_aucs.append(auc_rank_statistic(model.scores(X[test]), y[test]))
+                fold_aucs.append(auc_rank_statistic(scores, y[test]))
     if not fold_aucs:
         raise ValueError(
             "no fold had both classes in its test split; AUC is undefined"
@@ -368,8 +370,8 @@ def classify_all(
     predictions: list[Prediction] = []
     if unlabeled:
         X_new = matrix[[index[v] for v in unlabeled]]
-        pred = model.predict(X_new)
         score = model.scores(X_new)
+        pred = model.labels(score)
         predictions = [
             Prediction(v, bool(pred[i]), float(score[i]))
             for i, v in enumerate(unlabeled)
@@ -407,6 +409,8 @@ def paired_fold_comparison(
     alpha: float = 0.05,
 ) -> tuple[PairedComparison, ...]:
     """Paired t-test on per-fold accuracies for every classifier pair."""
+    from scipy.stats import ttest_rel  # deferred: scipy.stats is slow to import
+
     rows = {kind: cross_validate(kind, instances, folds, seed) for kind in kinds}
     out: list[PairedComparison] = []
     for i, a in enumerate(kinds):
@@ -423,7 +427,7 @@ def paired_fold_comparison(
                     t_stat = math.copysign(math.inf, float(diff.mean()))
                     p_value = 0.0
             else:
-                t_stat, p_value = stats.ttest_rel(acc_a, acc_b)
+                t_stat, p_value = ttest_rel(acc_a, acc_b)
             out.append(
                 PairedComparison(
                     a,

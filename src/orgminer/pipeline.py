@@ -73,19 +73,6 @@ _EXPORT_EXTENSIONS = {
     "csv": "csv",
 }
 
-STAGES = (
-    "generate",
-    "import",
-    "crawl",
-    "centrality",
-    "rank",
-    "evaluate",
-    "communities",
-    "export",
-    "report",
-    "manifest",
-)
-
 
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
@@ -366,12 +353,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 _csv_footer(profiles_to_jsonl_bytes(graph.profiles), chash),
             )
             crawl_stats = {
-                "fetched": result.stats.fetched,
-                "confirmed": result.stats.confirmed,
-                "not_found": result.stats.not_found,
-                "truncated": result.stats.truncated,
-                "stop_reason": result.stats.stop_reason,
-                "precision": result.stats.precision,
+                **result.stats.to_dict(),
                 "seeds": list(seeds),
                 "keywords": list(keywords),
             }

@@ -1,3 +1,7 @@
+import itertools
+import json
+import time
+
 import pytest
 
 from orgminer import (
@@ -185,6 +189,35 @@ def test_wider_crawl_confirms_same_members_on_closed_world():
     assert set(narrow.graph.nodes) == set(wide.graph.nodes)
 
 
+class LastFirstSource:
+    """Wraps a source so that, in each group of four fetches, the later a
+    fetch starts the sooner it finishes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fingerprint = inner.fingerprint
+        self._calls = itertools.count()
+
+    @property
+    def fetch_count(self) -> int:
+        return self.inner.fetch_count
+
+    def fetch_profile(self, node):
+        time.sleep(0.01 * (3 - next(self._calls) % 4))
+        return self.inner.fetch_profile(node)
+
+
+@pytest.mark.parametrize("runner", [crawl, bfs_crawl])
+def test_wide_crawl_applies_results_in_pop_order(runner):
+    world = generate_world(crawl_world_spec(4))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=60,
+                      concurrency_width=4)
+    plain = runner(world.fresh_source(), cfg)
+    shuffled = runner(LastFirstSource(world.fresh_source()), cfg)
+    assert shuffled.state.to_json_bytes() == plain.state.to_json_bytes()
+
+
 # -- bfs baseline -------------------------------------------------------------
 
 
@@ -282,6 +315,58 @@ def test_mid_crawl_resume_matches_uninterrupted(tmp_path, k):
     done = crawl(src, cfg, state=resume(path, src))
     assert done.state.confirmed == full.state.confirmed
     assert done.graph == full.graph
+
+
+@pytest.mark.parametrize("k", [1, 9, 23])
+def test_fifo_mid_crawl_resume_matches_uninterrupted(tmp_path, k):
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
+    full = bfs_crawl(world.fresh_source(), cfg)
+
+    src = world.fresh_source()
+    part = bfs_crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=k))
+    assert part.stats.truncated
+    path = tmp_path / "state.json"
+    save_state(part.state, path)
+    done = bfs_crawl(src, cfg, state=resume(path, src))
+    assert done.state.to_json_bytes() == full.state.to_json_bytes()
+
+
+def test_fifo_resumes_from_renumbered_queue(tmp_path):
+    # Older FIFO states number their queue 0..n-1 at priority 0 and set
+    # next_seq to the queue length; they must resume in the same order.
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
+    full = bfs_crawl(world.fresh_source(), cfg)
+
+    src = world.fresh_source()
+    part = bfs_crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
+    payload = json.loads(part.state.to_json_bytes())
+    queue = [node for node, _prio, _seq in payload["frontier"]["entries"]]
+    assert queue and min(s for _, _, s in payload["frontier"]["entries"]) > 0
+    payload["frontier"] = {
+        "entries": [[node, 0, i] for i, node in enumerate(queue)],
+        "next_seq": len(queue),
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload, indent=1))
+    done = bfs_crawl(src, cfg, state=resume(path, src))
+    assert done.graph == full.graph
+    assert done.state.crawled == full.state.crawled
+    assert done.stats == full.stats
+
+
+def test_resume_rejects_other_strategy(tmp_path):
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=4)
+    src = world.fresh_source()
+    path = tmp_path / "state.json"
+    save_state(bfs_crawl(src, cfg).state, path)
+    with pytest.raises(StateError):
+        crawl(src, cfg, state=resume(path, src))
 
 
 def test_resume_against_other_world_rejected(tmp_path):
