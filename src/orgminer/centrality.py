@@ -21,15 +21,17 @@ Measures and conventions (n = node count, scores keyed by node id):
   splitting equally at each hop, summed over ordered pairs and
   normalized by (n-1)(n-2).
 
-All reductions run in ascending-node-id order, so repeated runs agree
-bit for bit on one platform.
+cl, bc and lc come from one shortest-path sweep: a batched BFS per block
+of sources. All reductions run in ascending-node-id order, so repeated
+runs agree bit for bit on one platform.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -79,120 +81,90 @@ def degree_centrality(g: SocialGraph) -> dict[int, float]:
     return {v: g.degree(v) / (n - 1) for v in g.nodes}
 
 
-# -- BFS machinery (shared by cl / bc / lc) -------------------------------------
+# -- shortest paths (one sweep for cl / bc / lc) ----------------------------------
 
 
-def _blocks(n: int, size: int = _BLOCK) -> Iterable[np.ndarray]:
-    for start in range(0, n, size):
-        yield np.arange(start, min(start + size, n))
-
-
-def _level_masks(
-    A: sp.csr_array, sources: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched BFS. Returns integer distances (n x B, -1 unreachable) and
-    per-level boolean masks, masks[0] being the sources themselves."""
-    n = A.shape[0]
-    B = len(sources)
-    cols = np.arange(B)
-    dist = np.full((n, B), -1, dtype=np.int64)
-    dist[sources, cols] = 0
-    frontier = np.zeros((n, B), dtype=bool)
-    frontier[sources, cols] = True
-    masks = [frontier]
-    level = 0
-    while True:
-        reach = (A @ frontier.astype(np.float64)) > 0
-        new = reach & (dist < 0)
-        if not new.any():
-            break
-        level += 1
-        dist[new] = level
-        masks.append(new)
-        frontier = new
-    return dist, masks
-
-
-def closeness_centrality(g: SocialGraph) -> dict[int, float]:
+def _shortest_path_sweep(g: SocialGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closeness, betweenness and load from one batched BFS per block of
+    sources. The forward pass fills the path counts sigma level by level;
+    the backward pass accumulates the betweenness dependency (Brandes 2001)
+    and the load equal-split flow, dividing by the predecessor counts that
+    the product finding each level gives."""
     n = g.num_nodes
-    if n == 0:
-        return {}
-    if n == 1:
-        return {g.nodes[0]: 0.0}
     A = g.adjacency_matrix()
-    out = np.zeros(n)
-    for sources in _blocks(n):
-        dist, _ = _level_masks(A, sources)
+    cl, bc, lc = np.zeros((3, n))
+    for start in range(0, n, _BLOCK):
+        sources = np.arange(start, min(start + _BLOCK, n))
+        B = len(sources)
+        cols = np.arange(B)
+        dist = np.full((n, B), -1, dtype=np.int64)
+        dist[sources, cols] = 0
+        frontier = np.zeros((n, B), dtype=bool)
+        frontier[sources, cols] = True
+        sigma = np.zeros((n, B))
+        sigma[sources, cols] = 1.0
+        masks = [frontier]
+        # npreds[level]: how many neighbours each node has on level - 1, read
+        # on that level's mask; float32 holds these small counts exactly
+        npreds = [np.empty(0)]
+        while True:
+            preds = A @ frontier.astype(np.float64)
+            new = (preds > 0) & (dist < 0)
+            if not new.any():
+                break
+            dist[new] = len(masks)
+            paths = A @ np.where(frontier, sigma, 0.0)
+            np.copyto(sigma, paths, where=new)
+            masks.append(new)
+            npreds.append(preds.astype(np.float32))
+            frontier = new
         finite = dist >= 0
         r = finite.sum(axis=0)  # includes the source itself
         totals = np.where(finite, dist, 0).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(
+            cl[sources] = np.where(
                 totals > 0,
                 ((r - 1) / (n - 1)) * ((r - 1) / np.where(totals > 0, totals, 1)),
                 0.0,
             )
-        out[sources] = scores
-    return _as_scores(g, out)
 
-
-def betweenness_centrality(g: SocialGraph) -> dict[int, float]:
-    n = g.num_nodes
-    if n < 3:
-        return {v: 0.0 for v in g.nodes}
-    A = g.adjacency_matrix()
-    acc = np.zeros(n)
-    for sources in _blocks(n):
-        B = len(sources)
-        cols = np.arange(B)
-        dist, masks = _level_masks(A, sources)
-        sigma = np.zeros((n, B))
-        sigma[sources, cols] = 1.0
-        for level in range(1, len(masks)):
-            prev = masks[level - 1]
-            paths = A @ np.where(prev, sigma, 0.0)
-            mask = masks[level]
-            sigma[mask] = paths[mask]
         delta = np.zeros((n, B))
-        for level in range(len(masks) - 1, 0, -1):
-            mask = masks[level]
-            coeff = np.zeros((n, B))
-            np.divide(1.0 + delta, sigma, out=coeff, where=mask)
-            contrib = A @ coeff
-            prev = masks[level - 1]
-            delta[prev] += (contrib * sigma)[prev]
-        delta[sources, cols] = 0.0
-        acc += delta.sum(axis=1)
-    acc /= 2.0  # each unordered pair was accumulated from both endpoints
-    acc /= (n - 1) * (n - 2) / 2.0
-    return _as_scores(g, acc)
-
-
-def load_centrality(g: SocialGraph) -> dict[int, float]:
-    n = g.num_nodes
-    if n < 3:
-        return {v: 0.0 for v in g.nodes}
-    A = g.adjacency_matrix()
-    acc = np.zeros(n)
-    for sources in _blocks(n):
-        B = len(sources)
-        cols = np.arange(B)
-        dist, masks = _level_masks(A, sources)
         flow = np.where(dist > 0, 1.0, 0.0)  # one packet per reachable target
         initial = flow.copy()
         for level in range(len(masks) - 1, 0, -1):
             mask = masks[level]
             prev = masks[level - 1]
-            npreds = A @ prev.astype(np.float64)
             coeff = np.zeros((n, B))
-            np.divide(flow, npreds, out=coeff, where=mask)
+            np.divide(1.0 + delta, sigma, out=coeff, where=mask)
             contrib = A @ coeff
-            flow[prev] += contrib[prev]
+            np.add(delta, contrib * sigma, out=delta, where=prev)
+            coeff = np.zeros((n, B))
+            np.divide(flow, npreds[level], out=coeff, where=mask)
+            contrib = A @ coeff
+            np.add(flow, contrib, out=flow, where=prev)
+        delta[sources, cols] = 0.0
+        bc += delta.sum(axis=1)
         through = flow - initial
         through[sources, cols] = 0.0
-        acc += through.sum(axis=1)
-    acc /= (n - 1) * (n - 2)  # ordered pairs
-    return _as_scores(g, acc)
+        lc += through.sum(axis=1)
+    if n < 3:
+        return cl, np.zeros(n), np.zeros(n)
+    bc /= 2.0  # each unordered pair was accumulated from both endpoints
+    bc /= (n - 1) * (n - 2) / 2.0
+    lc /= (n - 1) * (n - 2)  # ordered pairs
+    return cl, bc, lc
+
+
+def closeness_centrality(g: SocialGraph) -> dict[int, float]:
+    return _as_scores(g, _shortest_path_sweep(g)[0])
+
+
+def betweenness_centrality(g: SocialGraph) -> dict[int, float]:
+    return _as_scores(g, _shortest_path_sweep(g)[1])
+
+
+def load_centrality(g: SocialGraph) -> dict[int, float]:
+    return _as_scores(g, _shortest_path_sweep(g)[2])
 
 
 # -- spectral measures ----------------------------------------------------------
@@ -541,10 +513,12 @@ def centrality_table(
         iterations["ec"] = count
         return _as_scores(g, x)
 
+    shortest_paths = functools.cache(lambda: _shortest_path_sweep(g))
+
     runners = {
         "dg": lambda: degree_centrality(g),
-        "cl": lambda: closeness_centrality(g),
-        "bc": lambda: betweenness_centrality(g),
+        "cl": lambda: _as_scores(g, shortest_paths()[0]),
+        "bc": lambda: _as_scores(g, shortest_paths()[1]),
         "hits": run_hits,
         "pr": run_pr,
         "ec": run_ec,
@@ -553,7 +527,7 @@ def centrality_table(
             cap=cfg.communicability_cap,
             approximate=cfg.approximate_communicability,
         ),
-        "lc": lambda: load_centrality(g),
+        "lc": lambda: _as_scores(g, shortest_paths()[2]),
     }
     for measure in (m for m in MEASURES if m in measures):
         run(measure, runners[measure])

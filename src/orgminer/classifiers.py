@@ -7,6 +7,10 @@ those scores into hard labels at one half (`labels`).
 
 When a training fold contains a single class, every model falls back to
 majority voting and emits a warning rather than failing.
+
+The decision tree and the random forest grow count-weighted trees (ones
+for the tree, bootstrap counts for the forest) into flat node arrays that
+score all rows level by level.
 """
 
 from __future__ import annotations
@@ -182,6 +186,10 @@ class OneR(BaseClassifier):
         return self._rate[self._apply(X)]
 
 
+# bytes of the test x train x feature difference tensor KNearest scores at once
+_KNN_CHUNK_BYTES = 32 * 2**20
+
+
 class KNearest(BaseClassifier):
     """k-nearest neighbours on internally standardized features.
 
@@ -204,10 +212,17 @@ class KNearest(BaseClassifier):
     def _scores(self, X: np.ndarray) -> np.ndarray:
         Z = (X - self._mean) / self._std
         k = min(self.k, self._train.shape[0])
-        d2 = ((Z[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
-        order = np.lexsort((np.arange(d2.shape[1])[None, :].repeat(d2.shape[0], 0), d2))
-        nearest = order[:, :k]
-        return self._labels[nearest].mean(axis=1)
+        step = max(1, _KNN_CHUNK_BYTES // max(1, self._train.nbytes))  # rows a chunk
+        out = np.empty(Z.shape[0])
+        for start in range(0, Z.shape[0], step):
+            z = Z[start : start + step, None, :]
+            d2 = ((z - self._train[None, :, :]) ** 2).sum(axis=2)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            tied = d2 == kth  # ties at the k-th distance fill up to k, lowest rows first
+            room = k - (d2 < kth).sum(axis=1, keepdims=True)
+            nearest = (d2 < kth) | (tied & (np.cumsum(tied, axis=1) <= room))
+            out[start : start + step] = (nearest @ self._labels) / k
+        return out
 
 
 class GaussianNB(BaseClassifier):
@@ -244,52 +259,95 @@ class GaussianNB(BaseClassifier):
         return probs[:, 1]
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "rate")
+class _Trees:
+    """CART trees in flat node arrays, one per array of row counts; a row
+    counted c times weighs as c copies of it.
 
-    def __init__(self, rate: float) -> None:
-        self.feature: int | None = None
-        self.threshold = 0.0
-        self.left: "_TreeNode | None" = None
-        self.right: "_TreeNode | None" = None
-        self.rate = rate
+    Each feature is sorted once. Growth is depth first, left child first.
+    A splittable node draws ``max_features`` candidates from ``rng`` when
+    that is below the feature count, scans each over its rows with a
+    positive count, and splits at the midpoint of the boundary with the
+    best gini gain. Node i sends a row whose
+    ``feature[i]`` value is at most ``threshold[i]`` to ``children[i, 0]``,
+    any other (NaN too) to ``children[i, 1]``; a leaf is its own child.
+    """
 
+    def __init__(self, X, y, counts, min_leaf, max_depth, max_features, rng) -> None:
+        d = X.shape[1]
+        n_draw = max_features if max_features is not None and max_features < d else 0
+        order = np.argsort(X, axis=0, kind="mergesort").T  # d x n
+        every = np.arange(d)
+        values = X.T[every[:, None], order]
+        feature, threshold, children, rate, roots = [], [], [], [], []
+        self.depth = 0
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    features: np.ndarray,
-    min_leaf: int,
-) -> tuple[int, float] | None:
-    n = rows.shape[0]
-    pos_total = float(y[rows].sum())
-    p = pos_total / n
-    parent_gini = 2.0 * p * (1.0 - p)
-    best_gain = 1e-12
-    best: tuple[int, float] | None = None
-    for f in features:
-        values = X[rows, f]
-        order = np.argsort(values, kind="mergesort")
-        sv = values[order]
-        sy = y[rows][order]
-        cum_pos = np.cumsum(sy)
-        left_n = np.arange(1, n)
-        usable = (sv[1:] > sv[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not usable.any():
-            continue
-        lp = cum_pos[:-1] / left_n
-        rp = (pos_total - cum_pos[:-1]) / (n - left_n)
-        weighted = (
-            left_n * 2.0 * lp * (1.0 - lp) + (n - left_n) * 2.0 * rp * (1.0 - rp)
-        ) / n
-        gain = np.where(usable, parent_gini - weighted, -np.inf)
-        idx = int(np.argmax(gain))
-        if gain[idx] > best_gain:
-            best_gain = float(gain[idx])
-            # boundary sits between sorted positions idx and idx+1
-            best = (int(f), float((sv[idx] + sv[idx + 1]) / 2.0))
-    return best
+        def best_split(member, tot, pos, features):
+            # each candidate feature sees the node's rows in its own order
+            keep = member[order[features]]
+            sv = values[features][keep].reshape(len(features), -1)
+            cum_n = weight[features][keep].reshape(sv.shape).cumsum(axis=1)
+            cum_pos = weight_pos[features][keep].reshape(sv.shape).cumsum(axis=1)
+            left_n, left_pos = cum_n[:, :-1], cum_pos[:, :-1]
+            right_n = tot - left_n
+            usable = (sv[:, 1:] > sv[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+            if not usable.any():
+                return None
+            p = pos / tot
+            lp = left_pos / left_n
+            rp = (pos - left_pos) / right_n
+            weighted = (
+                left_n * 2.0 * lp * (1.0 - lp) + right_n * 2.0 * rp * (1.0 - rp)
+            ) / tot
+            gain = np.where(usable, 2.0 * p * (1.0 - p) - weighted, -np.inf)
+            best, best_gain = None, 1e-12
+            for row, j in enumerate(gain.argmax(axis=1)):
+                if gain[row, j] > best_gain:
+                    best, best_gain = (row, j), gain[row, j]
+            if best is None:
+                return None
+            row, j = best
+            cut = float((sv[row, j] + sv[row, j + 1]) / 2.0)
+            if cut >= sv[row, j + 1]:  # rounded onto the larger value, which would go left
+                cut = float(sv[row, j])
+            return int(features[row]), cut, int(cum_n[row, j]), int(cum_pos[row, j])
+
+        def grow(member, tot, pos, depth) -> int:
+            i = len(rate)
+            rate.append(pos / tot)
+            feature.append(0)
+            threshold.append(0.0)
+            children.append([i, i])
+            self.depth = max(self.depth, depth)
+            deep = max_depth is not None and depth >= max_depth
+            if pos in (0, tot) or tot < 2 * min_leaf or deep:
+                return i
+            features = np.sort(rng.choice(d, n_draw, replace=False)) if n_draw else every
+            split = best_split(member, tot, pos, features)
+            if split is None:
+                return i
+            feature[i], threshold[i], left_tot, left_pos = split
+            left = X[:, feature[i]] <= threshold[i]
+            children[i] = [
+                grow(member & left, left_tot, left_pos, depth + 1),
+                grow(member & ~left, tot - left_tot, pos - left_pos, depth + 1),
+            ]
+            return i
+
+        for c in counts:
+            cy = c * y
+            weight, weight_pos = c[order], cy[order]  # read by best_split
+            roots.append(grow(c > 0, int(c.sum()), int(cy.sum()), 0))
+        arrays = map(np.array, (feature, threshold, children, rate, roots))
+        self.feature, self.threshold, self.children, self.rate, self.roots = arrays
+
+    def leaf_rates(self, X: np.ndarray) -> np.ndarray:
+        """Trees x rows array of the rate of the leaf each row reaches."""
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        rows = np.arange(X.shape[0])
+        for _ in range(self.depth):
+            right = ~(X[rows, self.feature[node]] <= self.threshold[node])
+            node = self.children[node, right.astype(np.intp)]
+        return self.rate[node]
 
 
 class DecisionTree(BaseClassifier):
@@ -301,59 +359,19 @@ class DecisionTree(BaseClassifier):
 
     name = "decision-tree"
 
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_leaf: int = 1,
-        max_features: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
         super().__init__()
         if min_leaf < 1:
             raise ClassifierError("min_leaf must be positive")
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.max_features = max_features
-        self._rng = rng
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._root = self._build(X, y, np.arange(X.shape[0]), depth=0)
-
-    def _build(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int
-    ) -> _TreeNode:
-        rate = float(y[rows].mean())
-        node = _TreeNode(rate)
-        if rate in (0.0, 1.0) or rows.shape[0] < 2 * self.min_leaf:
-            return node
-        if self.max_depth is not None and depth >= self.max_depth:
-            return node
-        d = X.shape[1]
-        if self.max_features is not None and self.max_features < d:
-            assert self._rng is not None
-            features = np.sort(
-                self._rng.choice(d, size=self.max_features, replace=False)
-            )
-        else:
-            features = np.arange(d)
-        split = _best_split(X, y, rows, features, self.min_leaf)
-        if split is None:
-            return node
-        node.feature, node.threshold = split
-        mask = X[rows, node.feature] <= node.threshold
-        node.left = self._build(X, y, rows[mask], depth + 1)
-        node.right = self._build(X, y, rows[~mask], depth + 1)
-        return node
+        ones = np.ones(X.shape[0], dtype=np.int64)
+        self._trees = _Trees(X, y, [ones], self.min_leaf, self.max_depth, None, None)
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self._root
-            while node.feature is not None:
-                assert node.left is not None and node.right is not None
-                node = node.left if X[i, node.feature] <= node.threshold else node.right
-            out[i] = node.rate
-        return out
+        return self._trees.leaf_rates(X)[0]
 
 
 class LogisticRegression(BaseClassifier):
@@ -408,31 +426,25 @@ class RandomForest(BaseClassifier):
         super().__init__()
         if self.n_trees < 1:
             raise ClassifierError("n_trees must be positive")
+        if self.min_leaf < 1:
+            raise ClassifierError("min_leaf must be positive")
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
         n, d = X.shape
+        # lazy, so each bootstrap is drawn after the previous tree's feature draws
+        counts = (
+            np.bincount(rng.integers(0, n, size=n), minlength=n)
+            for _ in range(self.n_trees)
+        )
         max_features = max(1, int(np.sqrt(d)))
-        self._trees: list[DecisionTree] = []
-        for _ in range(self.n_trees):
-            rows = rng.integers(0, n, size=n)
-            Xb, yb = X[rows], y[rows]
-            tree = DecisionTree(
-                min_leaf=self.min_leaf, max_features=max_features, rng=rng
-            )
-            if np.unique(yb).size < 2:
-                # degenerate bootstrap; a depth-0 tree still votes its rate
-                tree._root = _TreeNode(float(yb.mean()))
-                tree._fallback = None
-            else:
-                tree._fit(Xb, yb)
-            self._trees.append(tree)
+        self._trees = _Trees(X, y, counts, self.min_leaf, None, max_features, rng)
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(X.shape[0])
-        for tree in self._trees:
-            votes += tree._scores(X)
-        return votes / len(self._trees)
+        for rates in self._trees.leaf_rates(X):  # summed in tree order
+            votes += rates
+        return votes / self.n_trees
 
 
 def make_classifier(name: str, seed: int = 0) -> BaseClassifier:

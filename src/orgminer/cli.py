@@ -231,7 +231,7 @@ def _cmd_communities(args) -> int:
         managers, _ = _labels_maps(args.labels)
     rules = load_role_rules(args.rules) if args.rules else None
     roles = infer_roles(graph, partition, managers, rules=rules)
-    rows = community_report(graph, partition, roles)
+    rows = community_report(graph, partition, roles, rules)
     Path(args.out_partition).write_bytes(partition_table_bytes(partition))
     Path(args.out_report).write_bytes(report_table_bytes(rows))
     print(f"communities: {len(partition)} at Q={partition.q:.4f}")

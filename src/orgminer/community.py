@@ -2,9 +2,10 @@
 
 Community detection is the agglomerative greedy: start from singleton
 communities and repeatedly merge the pair with the largest modularity
-gain, maintained in a lazy max-heap, until no merge improves Q.  Ties
-break on the smaller community-id pair, and a community inherits the
-smaller id on merge, so the partition is deterministic.
+gain, maintained in a lazy max-heap that holds only positive gains,
+until no merge improves Q.  Ties break on the smaller community-id pair,
+and a community inherits the smaller id on merge, so the partition is
+deterministic.
 
 Role inference turns position text into coarse categories through an
 ordered keyword table (shipped as editable JSON) and assigns each
@@ -150,10 +151,11 @@ def detect_communities(g: SocialGraph) -> Partition:
     """Agglomerative greedy modularity maximization from singletons.
 
     Merge gain for communities a, b: m_ab/m - D_a*D_b/(2m^2).  The heap
-    holds (-gain, a, b) pairs validated against per-community version
-    counters; stale entries are dropped on pop.  Stops at the first
-    non-positive best gain, which on a strictly increasing Q trace is
-    the peak.  Isolated nodes never join a pair and stay singletons.
+    holds (-gain, a, b) only for pairs with a positive gain, validated
+    against per-community version counters; stale entries are dropped on
+    pop.  Stops when no positive gain is left, which on a strictly
+    increasing Q trace is the peak.  Isolated nodes never join a pair
+    and stay singletons.
     """
     nodes = g.nodes
     m = g.num_edges
@@ -165,7 +167,6 @@ def detect_communities(g: SocialGraph) -> Partition:
         between[u][v] = 1
         between[v][u] = 1
     degree_sum = {v: g.degree(v) for v in nodes}
-    internal = {v: 0 for v in nodes}
     version = {v: 0 for v in nodes}
     members: dict[int, list[int]] = {v: [v] for v in nodes}
 
@@ -175,8 +176,8 @@ def detect_communities(g: SocialGraph) -> Partition:
     heap: list[tuple[float, int, int, int, int]] = []
     for u in nodes:
         for v in between[u]:
-            if u < v:
-                heap.append((-gain(u, v), u, v, 0, 0))
+            if u < v and (dq := gain(u, v)) > 0.0:
+                heap.append((-dq, u, v, 0, 0))
     heapq.heapify(heap)
 
     q = -sum((d / (2.0 * m)) ** 2 for d in degree_sum.values())
@@ -186,12 +187,9 @@ def detect_communities(g: SocialGraph) -> Partition:
         if version.get(a) != va or version.get(b) != vb:
             continue
         dq = -neg_dq
-        if dq <= 0.0:
-            break
         q += dq
         merges.append(MergeStep(a, b, dq, q))
         # absorb b into a (a < b by construction)
-        internal[a] += internal.pop(b) + between[a][b]
         degree_sum[a] += degree_sum.pop(b)
         members[a].extend(members.pop(b))
         absorbed = between.pop(b)
@@ -207,7 +205,8 @@ def detect_communities(g: SocialGraph) -> Partition:
         del version[b]
         for other in mine:
             x, y = (a, other) if a < other else (other, a)
-            heapq.heappush(heap, (-gain(x, y), x, y, version[x], version[y]))
+            if (dq := gain(x, y)) > 0.0:
+                heapq.heappush(heap, (-dq, x, y, version[x], version[y]))
 
     raw = {v: comm for comm, vs in members.items() for v in vs}
     return Partition(_renumber(raw), q, tuple(merges))
@@ -351,9 +350,13 @@ class CommunityReportRow:
 
 
 def community_report(
-    g: SocialGraph, partition: Partition, roles: Sequence[CommunityRole]
+    g: SocialGraph,
+    partition: Partition,
+    roles: Sequence[CommunityRole],
+    rules: Sequence[RoleRule] | None = None,
 ) -> tuple[CommunityReportRow, ...]:
-    """One row per community: sizes, link counts, and the inferred role."""
+    """One row per community: sizes, link counts, and the inferred role.
+    Positions are classified with ``rules``, the bundled table by default."""
     role_by_comm = {role.community: role for role in roles}
     links = _internal_link_counts(g, partition.assignment)
     rows: list[CommunityReportRow] = []
@@ -365,7 +368,7 @@ def community_report(
             if profile is None or profile.position is None:
                 continue
             disclosed += 1
-            if normalize_position(profile.position) is not None:
+            if normalize_position(profile.position, rules) is not None:
                 classified += 1
         role = role_by_comm.get(comm)
         if role is None or role.low_confidence or role.position is None:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
-from .utils import stable_json
+from .utils import stable_json, write_bytes_atomic
 
 STATE_FORMAT_VERSION = 1
 
@@ -330,7 +330,8 @@ class CrawlResult:
 
 
 def save_state(state: CrawlState, path: str | Path) -> None:
-    Path(path).write_bytes(state.to_json_bytes())
+    """Write ``state`` to ``path``, replacing any earlier checkpoint whole."""
+    write_bytes_atomic(path, state.to_json_bytes())
 
 
 def resume(path: str | Path, src: FetchSource) -> CrawlState:

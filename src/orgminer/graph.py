@@ -163,9 +163,6 @@ class SocialGraph:
     def index_of(self, v: int) -> int:
         return self._index[v]
 
-    def node_at(self, i: int) -> int:
-        return self._nodes[i]
-
     def adjacency_matrix(self) -> sp.csr_array:
         """CSR adjacency in ascending-node-id order (cached)."""
         if self._matrix is None:

@@ -64,7 +64,7 @@ from .leadership import (
     precision_table_bytes,
 )
 from .synthworld import WorldSpec, generate_world
-from .utils import content_hash, derive_seed, stable_json
+from .utils import content_hash, derive_seed, stable_json, write_bytes_atomic
 
 _EXPORT_EXTENSIONS = {
     "edge-list": "txt",
@@ -275,7 +275,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
             echo(msg)
 
     def emit(name: str, data: bytes) -> None:
-        (out / name).write_bytes(data)
+        write_bytes_atomic(out / name, data)
         artifacts[name] = content_hash(data)
 
     def run_stage(name: str, fn: Callable[[], None]) -> None:

@@ -208,9 +208,6 @@ class WorldTruth:
     def all_members(self) -> frozenset[int]:
         return frozenset(v for ms in self.members for v in ms)
 
-    def is_member(self, v: int) -> bool:
-        return self.node_org.get(v) is not None
-
     def label_rows(self) -> list[LabelRow]:
         rows = []
         for v in sorted(self.node_org):

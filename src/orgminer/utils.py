@@ -1,10 +1,13 @@
-"""Small shared helpers: seed derivation, stable hashing, apportionment."""
+"""Small shared helpers: seed derivation, stable hashing, atomic writes,
+apportionment."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 from typing import Sequence
 
 
@@ -17,6 +20,19 @@ def derive_seed(master: int, stage: str) -> int:
 def stable_json(obj) -> str:
     """Canonical JSON text: sorted keys, no incidental whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file beside it, so
+    readers and killed runs see the old bytes or the new, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def content_hash(data: bytes) -> str:

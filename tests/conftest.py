@@ -49,6 +49,13 @@ def connected_graphs(draw, min_nodes: int = 2, max_nodes: int = 10):
     return SocialGraph(range(n), sorted(edges))
 
 
+def write_half_then_fail(self, data):
+    """Stand-in for ``Path.write_bytes`` that dies halfway through."""
+    with open(self, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
 def path_graph(n: int) -> SocialGraph:
     return SocialGraph(range(n), [(i, i + 1) for i in range(n - 1)])
 

@@ -112,6 +112,13 @@ def test_decision_tree_fits_interval_concept():
     assert (clf.predict(X) == y).all()
 
 
+def test_decision_tree_splits_between_adjacent_doubles():
+    lo, hi = 1.0 + 2**-52, 1.0 + 2**-51  # their midpoint rounds up to hi
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0, 0, 1, 1])
+    assert DecisionTree().fit(X, y).scores(X).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
 def test_decision_tree_is_deterministic():
     X, y = blob_data(3)
     s1 = DecisionTree().fit(X, y).scores(X)

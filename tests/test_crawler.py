@@ -22,7 +22,7 @@ from orgminer.crawler import Frontier
 from orgminer.synthworld import InMemorySource
 from orgminer.graph import SocialGraph
 
-from conftest import crawl_world_spec
+from conftest import crawl_world_spec, write_half_then_fail
 
 
 def make_source(nodes, edges, employers):
@@ -298,6 +298,23 @@ def test_save_at_zero_fetches_resumes_to_identical_run(tmp_path):
     save_state(state, path)
     resumed = crawl(src, cfg, state=resume(path, src))
     assert resumed.graph == fresh.graph
+
+
+def test_save_state_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    world = generate_world(crawl_world_spec(8))
+    seeds = sorted(world.truth.all_members())[:3]
+    src = world.fresh_source()
+    first = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=3))
+    path = tmp_path / "state.json"
+    save_state(first.state, path)
+    saved = path.read_bytes()
+    later = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"]), state=first.state)
+    assert later.state.to_json_bytes() != saved
+    monkeypatch.setattr(type(path), "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_state(later.state, path)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 @pytest.mark.parametrize("k", [1, 9, 23])

@@ -1,0 +1,253 @@
+"""The analysis kernels against straightforward reference versions.
+
+The references are the earlier implementations: trees grown node by node
+on a materialized bootstrap with one sort per candidate feature, a full
+lexsort for the nearest neighbours, and a greedy-modularity heap that
+holds every adjacent pair. The kernels must give the same bits.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orgminer import classifiers
+from orgminer.classifiers import DecisionTree, KNearest, RandomForest
+from orgminer.community import MergeStep, detect_communities
+from orgminer.synthworld import generate_world
+
+from conftest import random_graph, small_graphs, two_community_spec
+
+# -- reference tree ensembles ------------------------------------------------------
+
+
+class RefNode:
+    def __init__(self, rate: float) -> None:
+        self.feature: int | None = None
+        self.threshold = 0.0
+        self.left: RefNode | None = None
+        self.right: RefNode | None = None
+        self.rate = rate
+
+
+def ref_best_split(X, y, rows, features, min_leaf):
+    n = rows.shape[0]
+    pos_total = float(y[rows].sum())
+    p = pos_total / n
+    parent_gini = 2.0 * p * (1.0 - p)
+    best_gain = 1e-12
+    best = None
+    for f in features:
+        values = X[rows, f]
+        order = np.argsort(values, kind="mergesort")
+        sv = values[order]
+        sy = y[rows][order]
+        cum_pos = np.cumsum(sy)
+        left_n = np.arange(1, n)
+        usable = (sv[1:] > sv[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        if not usable.any():
+            continue
+        lp = cum_pos[:-1] / left_n
+        rp = (pos_total - cum_pos[:-1]) / (n - left_n)
+        weighted = (
+            left_n * 2.0 * lp * (1.0 - lp) + (n - left_n) * 2.0 * rp * (1.0 - rp)
+        ) / n
+        gain = np.where(usable, parent_gini - weighted, -np.inf)
+        idx = int(np.argmax(gain))
+        if gain[idx] > best_gain:
+            best_gain = float(gain[idx])
+            best = (int(f), float((sv[idx] + sv[idx + 1]) / 2.0))
+    return best
+
+
+def ref_build(X, y, rows, depth, min_leaf, max_depth, max_features, rng):
+    rate = float(y[rows].mean())
+    node = RefNode(rate)
+    if rate in (0.0, 1.0) or rows.shape[0] < 2 * min_leaf:
+        return node
+    if max_depth is not None and depth >= max_depth:
+        return node
+    d = X.shape[1]
+    if max_features is not None and max_features < d:
+        features = np.sort(rng.choice(d, size=max_features, replace=False))
+    else:
+        features = np.arange(d)
+    split = ref_best_split(X, y, rows, features, min_leaf)
+    if split is None:
+        return node
+    node.feature, node.threshold = split
+    mask = X[rows, node.feature] <= node.threshold
+    args = (min_leaf, max_depth, max_features, rng)
+    node.left = ref_build(X, y, rows[mask], depth + 1, *args)
+    node.right = ref_build(X, y, rows[~mask], depth + 1, *args)
+    return node
+
+
+def ref_tree_scores(root, X):
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = root
+        while node.feature is not None:
+            node = node.left if X[i, node.feature] <= node.threshold else node.right
+        out[i] = node.rate
+    return out
+
+
+def ref_forest_scores(X, y, X_test, n_trees, min_leaf, seed):
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    max_features = max(1, int(np.sqrt(d)))
+    votes = np.zeros(X_test.shape[0])
+    for _ in range(n_trees):
+        rows = rng.integers(0, n, size=n)
+        Xb, yb = X[rows], y[rows]
+        if np.unique(yb).size < 2:
+            root = RefNode(float(yb.mean()))
+        else:
+            root = ref_build(Xb, yb, np.arange(n), 0, min_leaf, None, max_features, rng)
+        votes += ref_tree_scores(root, X_test)
+    return votes / n_trees
+
+
+def ref_knn_scores(model: KNearest, X):
+    Z = (X - model._mean) / model._std
+    k = min(model.k, model._train.shape[0])
+    d2 = ((Z[:, None, :] - model._train[None, :, :]) ** 2).sum(axis=2)
+    order = np.lexsort((np.arange(d2.shape[1])[None, :].repeat(d2.shape[0], 0), d2))
+    return model._labels[order[:, :k]].mean(axis=1)
+
+
+# -- reference greedy modularity ------------------------------------------------------
+
+
+def ref_merges(g) -> tuple[MergeStep, ...]:
+    m = g.num_edges
+    if m == 0:
+        return ()
+    between = {v: {} for v in g.nodes}
+    for u, v in g.edges():
+        between[u][v] = 1
+        between[v][u] = 1
+    degree_sum = {v: g.degree(v) for v in g.nodes}
+    version = {v: 0 for v in g.nodes}
+
+    def gain(a, b):
+        return between[a][b] / m - degree_sum[a] * degree_sum[b] / (2.0 * m * m)
+
+    heap = [(-gain(u, v), u, v, 0, 0) for u in g.nodes for v in between[u] if u < v]
+    heapq.heapify(heap)
+    q = -sum((d / (2.0 * m)) ** 2 for d in degree_sum.values())
+    merges = []
+    while heap:
+        neg_dq, a, b, va, vb = heapq.heappop(heap)
+        if version.get(a) != va or version.get(b) != vb:
+            continue
+        dq = -neg_dq
+        if dq <= 0.0:
+            break
+        q += dq
+        merges.append(MergeStep(a, b, dq, q))
+        degree_sum[a] += degree_sum.pop(b)
+        absorbed = between.pop(b)
+        mine = between[a]
+        mine.pop(b, None)
+        for other, count in absorbed.items():
+            if other == a:
+                continue
+            mine[other] = mine.get(other, 0) + count
+            between[other].pop(b, None)
+            between[other][a] = mine[other]
+        version[a] += 1
+        del version[b]
+        for other in mine:
+            x, y = (a, other) if a < other else (other, a)
+            heapq.heappush(heap, (-gain(x, y), x, y, version[x], version[y]))
+    return tuple(merges)
+
+
+# -- data ------------------------------------------------------------------------------
+
+# few distinct values, so rows and values repeat
+VALUES = (-3.0, 0.0, 0.25, 1.0, 1.0 + 2**-52, 7.5)
+
+
+@st.composite
+def labeled_rows(draw, max_rows: int = 24):
+    n = draw(st.integers(min_value=2, max_value=max_rows))
+    d = draw(st.integers(min_value=1, max_value=4))
+    cells = draw(st.lists(st.sampled_from(VALUES), min_size=n * d, max_size=n * d))
+    X = np.array(cells).reshape(n, d)
+    y = np.array(draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)))
+    if np.unique(y).size < 2:
+        y[0] ^= 1  # both classes, so no model falls back to majority vote
+    test_cells = draw(st.lists(st.sampled_from(VALUES), min_size=d, max_size=8 * d))
+    X_test = np.array(test_cells[: len(test_cells) // d * d]).reshape(-1, d)
+    return X, y, np.vstack([X, X_test])
+
+
+@given(labeled_rows(), st.sampled_from((1, 2, 5)), st.sampled_from((None, 1, 3)))
+def test_decision_tree_matches_reference(data, min_leaf, max_depth):
+    X, y, X_test = data
+    tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
+    root = ref_build(X, y, np.arange(X.shape[0]), 0, min_leaf, max_depth, None, None)
+    assert np.array_equal(tree.scores(X_test), ref_tree_scores(root, X_test))
+
+
+@given(labeled_rows(max_rows=12), st.sampled_from((1, 2, 5)), st.integers(0, 1000))
+@settings(max_examples=25)
+def test_random_forest_matches_reference(data, min_leaf, seed):
+    X, y, X_test = data
+    forest = RandomForest(n_trees=15, min_leaf=min_leaf, seed=seed).fit(X, y)
+    want = ref_forest_scores(X, y, X_test, 15, min_leaf, seed)
+    assert np.array_equal(forest.scores(X_test), want)
+
+
+def test_random_forest_matches_reference_with_single_class_bootstraps():
+    # one positive row in five: about a third of the bootstraps miss it
+    X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
+    y = np.array([0, 0, 0, 0, 1])
+    forest = RandomForest(n_trees=40, seed=3).fit(X, y)
+    assert np.array_equal(forest.scores(X), ref_forest_scores(X, y, X, 40, 1, 3))
+
+
+@given(labeled_rows(), st.sampled_from((1, 2, 3, 10, 50)))
+def test_knn_matches_reference(data, k):
+    X, y, X_test = data
+    model = KNearest(k).fit(X, y)
+    assert np.array_equal(model.scores(X_test), ref_knn_scores(model, X_test))
+
+
+# 40 training rows x 3 features x 8 bytes: 960 bytes of tensor per test row
+@pytest.mark.parametrize("budget", [1, 2000, 5000])
+def test_knn_scores_in_chunks_like_one_pass(monkeypatch, budget):
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 3, size=(40, 3)).astype(float)
+    y = (rng.random(40) < 0.4).astype(int)
+    X_test = rng.integers(0, 3, size=(23, 3)).astype(float)
+    model = KNearest(5).fit(X, y)
+    whole = model.scores(X_test)
+    monkeypatch.setattr(classifiers, "_KNN_CHUNK_BYTES", budget)
+    assert np.array_equal(model.scores(X_test), whole)
+    assert np.array_equal(whole, ref_knn_scores(model, X_test))
+
+
+# -- greedy modularity -------------------------------------------------------------------
+
+
+@given(small_graphs(max_nodes=14))
+def test_greedy_merges_match_reference(g):
+    assert detect_communities(g).merges == ref_merges(g)
+
+
+def test_greedy_merges_match_reference_on_acceptance_worlds():
+    for i in range(50):
+        g = random_graph(1000 + i, 4 + (i % 7), (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5])
+        assert detect_communities(g).merges == ref_merges(g)
+    for seed in range(10):
+        for disclosure in (1.0, 0.4):
+            world = generate_world(two_community_spec(seed, disclosure=disclosure))
+            sub = world.graph.subgraph(sorted(world.truth.all_members()))
+            assert detect_communities(sub).merges == ref_merges(sub)

@@ -495,6 +495,27 @@ def test_cli_communities_writes_partition_and_report(world_files, tmp_path, caps
     assert "communities:" in capsys.readouterr().out
 
 
+def test_cli_communities_counts_classified_positions_with_given_rules(
+    world_files, tmp_path
+):
+    rules = tmp_path / "rules.json"
+    rules.write_text(
+        json.dumps({"rules": [{"category": "Nobody", "keywords": ["no such title"]}]})
+    )
+    report = tmp_path / "report.csv"
+    args = ["communities", "--edges", str(world_files["edges"])]
+    args += ["--profiles", str(world_files["profiles"])]
+    args += ["--out-partition", str(tmp_path / "partition.csv")]
+    args += ["--out-report", str(report)]
+    assert cli.main(args + ["--rules", str(rules)]) == 0
+    rows = [ln.split(",") for ln in report.read_text().splitlines()[1:]]
+    assert sum(int(r[3]) for r in rows) > 0  # positions are disclosed
+    assert all(int(r[4]) == 0 for r in rows)  # and the custom table classifies none
+    assert cli.main(args) == 0
+    rows = [ln.split(",") for ln in report.read_text().splitlines()[1:]]
+    assert sum(int(r[4]) for r in rows) > 0  # the bundled table does
+
+
 def test_cli_report_verifies_manifest(pipeline_run, tmp_path, capsys):
     _, result = pipeline_run
     rc = cli.main(["report", "--dir", str(result.out_dir)])

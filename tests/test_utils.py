@@ -1,8 +1,19 @@
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
-from orgminer.utils import apportion, content_hash, derive_seed, short_hash, stable_json
+from orgminer.utils import (
+    apportion,
+    content_hash,
+    derive_seed,
+    short_hash,
+    stable_json,
+    write_bytes_atomic,
+)
+
+from conftest import write_half_then_fail
 
 
 def test_derive_seed_deterministic_and_stage_sensitive():
@@ -47,3 +58,21 @@ def test_apportion_always_sums_to_total(total, weights):
     shares = apportion(total, weights)
     assert sum(shares) == total
     assert all(s >= 0 for s in shares)
+
+
+def test_write_bytes_atomic_replaces_the_file(tmp_path):
+    path = tmp_path / "artifact.csv"
+    write_bytes_atomic(path, b"old\n")
+    write_bytes_atomic(path, b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_write_bytes_atomic_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old contents\n")
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_bytes_atomic(path, b"new contents that never land\n")
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
