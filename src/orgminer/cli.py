@@ -52,7 +52,7 @@ from .pipeline import (
     verify_manifest,
 )
 from .synthworld import InMemorySource, WorldSpec, disclosure_census, generate_world
-from .utils import content_hash
+from .utils import content_hash, write_bytes_atomic
 
 
 def _out_root(explicit: str | None) -> Path:
@@ -98,12 +98,12 @@ def _cmd_generate(args) -> int:
     world = generate_world(spec)
     out = _out_root(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "world_edges.txt").write_bytes(edge_list_bytes(world.graph))
-    (out / "world_profiles.jsonl").write_bytes(
-        profiles_to_jsonl_bytes(world.graph.profiles)
+    write_bytes_atomic(out / "world_edges.txt", edge_list_bytes(world.graph))
+    write_bytes_atomic(
+        out / "world_profiles.jsonl", profiles_to_jsonl_bytes(world.graph.profiles)
     )
-    (out / "world_labels.csv").write_bytes(
-        labels_to_csv_bytes(world.truth.label_rows())
+    write_bytes_atomic(
+        out / "world_labels.csv", labels_to_csv_bytes(world.truth.label_rows())
     )
     census = disclosure_census(world)
     lines = ["org,members,links,disclosing,disclosing_pct"]
@@ -112,7 +112,7 @@ def _cmd_generate(args) -> int:
             f"{row.org},{row.members},{row.links},{row.disclosing},"
             f"{row.disclosing_pct:.1f}"
         )
-    (out / "census.csv").write_bytes(("\n".join(lines) + "\n").encode())
+    write_bytes_atomic(out / "census.csv", ("\n".join(lines) + "\n").encode())
     print(
         f"world: {world.graph.num_nodes} nodes, {world.graph.num_edges} edges "
         f"-> {out}"
@@ -138,14 +138,13 @@ def _cmd_crawl(args) -> int:
     result = runner(src, cfg, state=state)
     out = _out_root(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "crawled_edges.txt").write_bytes(edge_list_bytes(result.graph))
-    (out / "crawled_profiles.jsonl").write_bytes(
-        profiles_to_jsonl_bytes(result.graph.profiles)
+    write_bytes_atomic(out / "crawled_edges.txt", edge_list_bytes(result.graph))
+    write_bytes_atomic(
+        out / "crawled_profiles.jsonl", profiles_to_jsonl_bytes(result.graph.profiles)
     )
     stats = result.stats
-    (out / "crawl_stats.json").write_text(
-        json.dumps(stats.to_dict(), sort_keys=True, indent=1) + "\n"
-    )
+    stats_json = json.dumps(stats.to_dict(), sort_keys=True, indent=1) + "\n"
+    write_bytes_atomic(out / "crawl_stats.json", stats_json.encode())
     if args.save_state:
         save_state(result.state, args.save_state)
     print(
@@ -164,7 +163,7 @@ def _cmd_centrality(args) -> int:
     )
     measures = _str_list(args.measures) if args.measures != "all" else MEASURES
     table = centrality_table(graph, config, measures=measures)
-    Path(args.out).write_bytes(table.to_csv_bytes())
+    write_bytes_atomic(args.out, table.to_csv_bytes())
     failed = ", ".join(sorted(table.failures)) if table.failures else "none"
     print(f"centrality: {graph.num_nodes} nodes, failed measures: {failed}")
     return 0
@@ -185,8 +184,8 @@ def _cmd_rank(args) -> int:
     )
     out = _out_root(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ranking_report.csv").write_bytes(precision_table_bytes(precision))
-    (out / "hidden_managers.csv").write_bytes(hidden_table_bytes(hidden))
+    write_bytes_atomic(out / "ranking_report.csv", precision_table_bytes(precision))
+    write_bytes_atomic(out / "hidden_managers.csv", hidden_table_bytes(hidden))
     for measure in sorted(precision):
         cells = ", ".join(f"p@{k}={v:.3f}" for k, v in sorted(precision[measure].items()))
         print(f"{measure}: {cells}")
@@ -214,7 +213,7 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
         ks=(10, 20) if len(table.nodes) >= 20 else (min(10, len(table.nodes)),),
     )
-    Path(args.out).write_bytes(classifier_table_bytes(report.classifier_rows))
+    write_bytes_atomic(args.out, classifier_table_bytes(report.classifier_rows))
     for row in report.classifier_rows:
         print(
             f"{row.classifier}: acc {row.accuracy:.2f}%  f1 {row.f1:.3f}  "
@@ -232,8 +231,8 @@ def _cmd_communities(args) -> int:
     rules = load_role_rules(args.rules) if args.rules else None
     roles = infer_roles(graph, partition, managers, rules=rules)
     rows = community_report(graph, partition, roles, rules)
-    Path(args.out_partition).write_bytes(partition_table_bytes(partition))
-    Path(args.out_report).write_bytes(report_table_bytes(rows))
+    write_bytes_atomic(args.out_partition, partition_table_bytes(partition))
+    write_bytes_atomic(args.out_report, report_table_bytes(rows))
     print(f"communities: {len(partition)} at Q={partition.q:.4f}")
     return 0
 
@@ -269,7 +268,7 @@ def _cmd_export(args) -> int:
         if communities is not None:
             communities = {id_map[v]: c for v, c in communities.items()}
     payload = export_graph(graph, args.format, communities=communities)
-    Path(args.out).write_bytes(payload)
+    write_bytes_atomic(args.out, payload)
     print(f"export: {args.format} -> {args.out}")
     return 0
 

@@ -1,10 +1,10 @@
 """Focused crawler that prioritizes candidates by confirmed-member friends.
 
-The frontier is a max-priority queue. A candidate's priority equals the
-number of already-confirmed members known to be its friends, so the
-crawler fetches the most promising profiles first. Fetched profiles that
-match an organization keyword are confirmed; their friend lists feed the
-frontier. Non-matching profiles are counted but never expanded.
+The frontier is a max-priority queue over int heap keys. A candidate's
+priority equals the number of already-confirmed members known to be its
+friends, so the crawler fetches the most promising profiles first. Profiles
+matching a keyword (normalized once per crawl) are confirmed and their
+friend lists feed the frontier; the rest are counted but never expanded.
 
 Stopping:
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import re
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -46,26 +45,29 @@ class StateError(CrawlError):
     """A crawl state file is corrupt or belongs to a different world."""
 
 
-_WS = re.compile(r"\s+")
-
-
 def _normalize(text: str) -> str:
-    return _WS.sub(" ", text.casefold()).strip()
+    return " ".join(text.casefold().split())
+
+
+def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
+    """``keyword_match`` with ``keywords`` normalized once. A normalized
+    needle holds no newline, so no match spans two newline-joined fields."""
+    needles = [n for n in map(_normalize, keywords) if n]
+
+    def match(profile: Profile) -> bool:
+        text = "\n".join(map(_normalize, profile.text_fields()))
+        for needle in needles:
+            if needle in text:
+                return True
+        return False
+
+    return match
 
 
 def keyword_match(profile: Profile, keywords: Sequence[str]) -> bool:
-    """True when any normalized keyword is a substring of any text field.
-
-    Normalization case-folds and collapses whitespace on both sides.
-    """
-    fields = [_normalize(t) for t in profile.text_fields()]
-    for kw in keywords:
-        needle = _normalize(kw)
-        if not needle:
-            continue
-        if any(needle in f for f in fields):
-            return True
-    return False
+    """True when any normalized keyword is a substring of any normalized text
+    field. Normalization case-folds and collapses whitespace."""
+    return _matcher(keywords)(profile)
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,23 @@ class CrawlConfig:
         )
 
 
+_SEQ_BITS = 48  # (-priority << 48) + seq sorts like (-priority, seq) for seq < 2**48
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
+
+
 class Frontier:
     """Max-priority queue with FIFO tie-break by first enqueue order.
 
     Priority increases keep the original sequence number, so two
     candidates at equal priority dequeue in the order they first
-    appeared. Stale heap rows are discarded lazily.
+    appeared. A heap row is the int ``(-priority << _SEQ_BITS) + seq``; rows
+    whose node popped or whose priority changed are discarded lazily.
     """
 
     def __init__(self):
-        self._heap: list[tuple[int, int, int]] = []  # (-priority, seq, node)
+        self._heap: list[int] = []  # (-priority << _SEQ_BITS) + seq
         self._entries: dict[int, tuple[int, int]] = {}  # node -> (priority, seq)
+        self._nodes: dict[int, int] = {}  # seq -> node, queued nodes only
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -146,34 +154,33 @@ class Frontier:
         seq = self._next_seq
         self._next_seq += 1
         self._entries[node] = (priority, seq)
-        heapq.heappush(self._heap, (-priority, seq, node))
+        self._nodes[seq] = node
+        heapq.heappush(self._heap, (-priority << _SEQ_BITS) + seq)
 
     def increase(self, node: int, by: int = 1) -> None:
         priority, seq = self._entries[node]
-        self._entries[node] = (priority + by, seq)
-        heapq.heappush(self._heap, (-(priority + by), seq, node))
+        priority += by
+        self._entries[node] = (priority, seq)
+        heapq.heappush(self._heap, (-priority << _SEQ_BITS) + seq)
 
-    def _clean_top(self) -> None:
-        while self._heap:
-            neg, seq, node = self._heap[0]
-            entry = self._entries.get(node)
-            if entry is not None and entry == (-neg, seq):
-                return
-            heapq.heappop(self._heap)
+    def _node_of(self, key: int) -> int | None:
+        node = self._nodes.get(key & _SEQ_MASK)
+        if node is not None and self._entries[node][0] == -(key >> _SEQ_BITS):
+            return node
+        return None
 
     def pop(self) -> tuple[int, int]:
-        self._clean_top()
-        if not self._heap:
-            raise CrawlError("frontier is empty")
-        neg, seq, node = heapq.heappop(self._heap)
-        del self._entries[node]
-        return node, -neg
+        while self._heap:
+            key = heapq.heappop(self._heap)
+            if (node := self._node_of(key)) is not None:
+                del self._entries[node], self._nodes[key & _SEQ_MASK]
+                return node, -(key >> _SEQ_BITS)
+        raise CrawlError("frontier is empty")
 
     def max_priority(self) -> int | None:
-        self._clean_top()
-        if not self._heap:
-            return None
-        return -self._heap[0][0]
+        while self._heap and self._node_of(self._heap[0]) is None:
+            heapq.heappop(self._heap)
+        return -(self._heap[0] >> _SEQ_BITS) if self._heap else None
 
     def items(self) -> dict[int, int]:
         return {node: prio for node, (prio, _) in self._entries.items()}
@@ -191,11 +198,19 @@ class Frontier:
 
     @classmethod
     def restore(cls, data: dict) -> "Frontier":
+        """Rebuild a dumped frontier; a malformed one raises ``StateError``."""
         f = cls()
-        for node, prio, seq in data["entries"]:
-            f._entries[int(node)] = (int(prio), int(seq))
-            heapq.heappush(f._heap, (-int(prio), int(seq), int(node)))
         f._next_seq = int(data["next_seq"])
+        rows = data["entries"]
+        nodes, prios, seqs = ([int(row[i]) for row in rows] for i in range(3))
+        f._entries = dict(zip(nodes, zip(prios, seqs)))
+        f._nodes = dict(zip(seqs, nodes))
+        if not (len(f._entries) == len(f._nodes) == len(rows)
+                and set(map(len, rows)) <= {3} and min(seqs, default=0) >= 0
+                and max(seqs, default=-1) < f._next_seq < 1 << _SEQ_BITS):
+            raise StateError("corrupt frontier: repeated node or seq, or bad seq")
+        f._heap = [(-prio << _SEQ_BITS) + seq for prio, seq in zip(prios, seqs)]
+        heapq.heapify(f._heap)
         return f
 
 
@@ -247,7 +262,7 @@ class CrawlState:
             "frontier": self.frontier.dump(),
             "crawled": sorted(self.crawled),
             "confirmed": sorted(self.confirmed),
-            "edges": [[u, v] for u, v in sorted(self.edges)],
+            "edges": sorted(self.edges),
             "profiles": {
                 str(v): profile_to_dict(p) for v, p in sorted(self.profiles.items())
             },
@@ -287,8 +302,8 @@ class CrawlState:
                 config=config,
                 strategy=strategy,
                 frontier=frontier,
-                crawled={int(v) for v in payload["crawled"]},
-                confirmed={int(v) for v in payload["confirmed"]},
+                crawled=set(map(int, payload["crawled"])),
+                confirmed=set(map(int, payload["confirmed"])),
                 edges={(int(u), int(v)) for u, v in payload["edges"]},
                 profiles={
                     int(v): profile_from_dict(d)
@@ -411,22 +426,21 @@ def _run(
     src: FetchSource, state: CrawlState, audit_hook: AuditHook | None
 ) -> CrawlResult:
     cfg = state.config
+    frontier, window = state.frontier, state.window
     focused = state.strategy == "priority"
+    match = _matcher(cfg.keywords)
     budget = cfg.max_fetches
     stop_reason: str | None = None
     truncated = False
+    hits = sum(window)  # confirmations among the last window_size fetches
 
     def window_stop_ready() -> bool:
-        if cfg.version != "v2":
+        if cfg.version != "v2" or hits or len(window) < cfg.window_size:
             return False
-        if len(state.window) < cfg.window_size:
-            return False
-        if any(state.window):
-            return False
-        top = state.frontier.max_priority()
+        top = frontier.max_priority()
         return top is None or top <= 1
 
-    if window_stop_ready() and len(state.frontier) > 0:
+    if window_stop_ready() and len(frontier) > 0:
         stop_reason = "window-stop"
 
     executor = (
@@ -437,7 +451,7 @@ def _run(
     fetch = partial(_fetch_one, src)
     try:
         while stop_reason is None:
-            if len(state.frontier) == 0:
+            if len(frontier) == 0:
                 stop_reason = "frontier-exhausted"
                 break
             if budget is not None and state.fetch_count >= budget:
@@ -448,22 +462,22 @@ def _run(
             if budget is not None:
                 width = min(width, budget - state.fetch_count)
             batch: list[int] = []
-            while len(batch) < width and len(state.frontier) > 0:
-                node, _priority = state.frontier.pop()
+            while len(batch) < width and len(frontier) > 0:
+                node, _priority = frontier.pop()
                 state.crawled.add(node)
                 batch.append(node)
             results = map(fetch, batch) if executor is None else executor.map(fetch, batch)
             for node, fetched in results:
                 state.fetch_count += 1
+                hit = 0
                 if fetched is None:
                     state.not_found += 1
-                    state.window.append(0)
                 else:
                     profile, friends = fetched
-                    if keyword_match(profile, cfg.keywords):
+                    if match(profile):
+                        hit = 1
                         state.confirmed.add(node)
                         state.profiles[node] = profile
-                        state.window.append(1)
                         for friend in friends:
                             if friend in state.confirmed:
                                 key = (node, friend) if node < friend else (friend, node)
@@ -471,12 +485,14 @@ def _run(
                         for friend in friends:
                             if friend == node or friend in state.crawled:
                                 continue
-                            if friend not in state.frontier:
-                                state.frontier.push(friend, 1 if focused else 0)
+                            if friend not in frontier:
+                                frontier.push(friend, 1 if focused else 0)
                             elif focused:
-                                state.frontier.increase(friend)
-                    else:
-                        state.window.append(0)
+                                frontier.increase(friend)
+                if len(window) == window.maxlen:
+                    hits -= window[0]
+                window.append(hit)
+                hits += hit
                 if audit_hook is not None:
                     audit_hook(state, node)
                 if stop_reason is None and window_stop_ready():

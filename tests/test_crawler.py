@@ -1,8 +1,12 @@
+import heapq
 import itertools
 import json
+import re
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orgminer import (
     CrawlConfig,
@@ -18,7 +22,7 @@ from orgminer import (
     resume,
     save_state,
 )
-from orgminer.crawler import Frontier
+from orgminer.crawler import Frontier, _normalize
 from orgminer.synthworld import InMemorySource
 from orgminer.graph import SocialGraph
 
@@ -57,7 +61,171 @@ def test_keyword_match_checks_position_and_name_too():
     assert not keyword_match(p, ["globex"])
 
 
+# Reference implementations: a regex normalizer and a matcher that normalizes
+# every field and keyword on each call. Keyword matching must agree with them.
+_REF_WS = re.compile(r"\s+")
+
+
+def ref_normalize(text):
+    return _REF_WS.sub(" ", text.casefold()).strip()
+
+
+def ref_keyword_match(profile, keywords):
+    fields = [ref_normalize(t) for t in profile.text_fields()]
+    for kw in keywords:
+        needle = ref_normalize(kw)
+        if needle and any(needle in f for f in fields):
+            return True
+    return False
+
+
+def test_split_whitespace_is_regex_whitespace_on_every_code_point():
+    every = "".join(map(chr, range(0x110000)))
+    assert [c for c in every if c.isspace()] == re.findall(r"\s", every)
+
+
+# Separators, Unicode spaces, and letters whose case folding changes length.
+_TRICKY = st.lists(
+    st.sampled_from(
+        list("\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u00df\u0130\n\t")
+        + ["  ", "   ", "a", "A", "c", "me", "ss", "i", "\u0307", " corp"]
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(
+    employers=st.lists(_TRICKY, max_size=3),
+    name=_TRICKY,
+    position=_TRICKY,
+    keywords=st.lists(st.one_of(_TRICKY, st.sampled_from(["", " ", "\u3000 \x85"])),
+                      max_size=4),
+)
+def test_keyword_match_equals_the_regex_reference(employers, name, position, keywords):
+    p = Profile(node=0, employers=tuple(employers), name=name, position=position)
+    for text in (*employers, name, position, *keywords):
+        assert _normalize(text) == ref_normalize(text)
+    assert keyword_match(p, keywords) == ref_keyword_match(p, keywords)
+
+
+def test_keyword_match_ignores_empty_and_blank_keywords():
+    p = Profile(node=0, employers=("acme",))
+    assert not keyword_match(p, ["", "  ", "\u3000\x85"])
+    assert keyword_match(p, ["", " ACME "])
+
+
+def test_keyword_never_matches_across_two_fields():
+    p = Profile(node=0, employers=("acme", "corp"))
+    assert not keyword_match(p, ["acme corp"])
+    assert not keyword_match(p, ["acme\ncorp"])
+
+
 # -- frontier -----------------------------------------------------------------
+
+
+class TupleFrontier:
+    """Reference frontier on ``(-priority, seq, node)`` tuple rows."""
+
+    def __init__(self):
+        self._heap = []  # (-priority, seq, node)
+        self._entries = {}  # node -> (priority, seq)
+        self._next_seq = 0
+
+    def __len__(self):
+        return len(self._entries)
+
+    def push(self, node, priority):
+        if node in self._entries:
+            raise CrawlError(f"node {node} already queued")
+        seq = self._next_seq
+        self._next_seq += 1
+        self._entries[node] = (priority, seq)
+        heapq.heappush(self._heap, (-priority, seq, node))
+
+    def increase(self, node, by=1):
+        priority, seq = self._entries[node]
+        self._entries[node] = (priority + by, seq)
+        heapq.heappush(self._heap, (-(priority + by), seq, node))
+
+    def _clean_top(self):
+        while self._heap:
+            neg, seq, node = self._heap[0]
+            if self._entries.get(node) == (-neg, seq):
+                return
+            heapq.heappop(self._heap)
+
+    def pop(self):
+        self._clean_top()
+        if not self._heap:
+            raise CrawlError("frontier is empty")
+        neg, seq, node = heapq.heappop(self._heap)
+        del self._entries[node]
+        return node, -neg
+
+    def max_priority(self):
+        self._clean_top()
+        return -self._heap[0][0] if self._heap else None
+
+    def items(self):
+        return {node: prio for node, (prio, _) in self._entries.items()}
+
+    def dump(self):
+        rows = sorted((seq, node, prio) for node, (prio, seq) in self._entries.items())
+        return {"next_seq": self._next_seq,
+                "entries": [[node, prio, seq] for seq, node, prio in rows]}
+
+    @classmethod
+    def restore(cls, data):
+        f = cls()
+        for node, prio, seq in data["entries"]:
+            f._entries[int(node)] = (int(prio), int(seq))
+            heapq.heappush(f._heap, (-int(prio), int(seq), int(node)))
+        f._next_seq = int(data["next_seq"])
+        return f
+
+
+_PRIORITY = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+_FRONTIER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 5), _PRIORITY),
+        st.tuples(st.just("increase"), st.integers(0, 5), st.one_of(
+            st.integers(-2, 3), st.integers(-2**60, 2**60))),
+        st.tuples(st.just("pop"), st.just(0), st.just(0)),
+        st.tuples(st.just("max"), st.just(0), st.just(0)),
+        st.tuples(st.just("restore"), st.just(0), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (CrawlError, KeyError) as exc:
+        return type(exc)
+
+
+@given(_FRONTIER_OPS)
+@settings(max_examples=200)
+@example([("push", 0, 5), ("increase", 0, -3), ("pop", 0, 0)])
+def test_frontier_equals_the_tuple_heap_reference(ops):
+    f, ref = Frontier(), TupleFrontier()
+    for op, node, value in ops:
+        if op == "restore":
+            f = Frontier.restore(json.loads(json.dumps(f.dump())))
+            ref = TupleFrontier.restore(json.loads(json.dumps(ref.dump())))
+        elif op in ("push", "increase"):
+            assert _outcome(getattr(f, op), node, value) == _outcome(
+                getattr(ref, op), node, value)
+        elif op == "pop":
+            assert _outcome(f.pop) == _outcome(ref.pop)
+        else:
+            assert f.max_priority() == ref.max_priority()
+        assert len(f) == len(ref)
+        assert f.items() == ref.items()
+        assert f.dump() == ref.dump()
+    assert [f.pop() for _ in range(len(f))] == [ref.pop() for _ in range(len(ref))]
+
 
 
 def test_frontier_max_priority_then_fifo():
@@ -282,6 +450,51 @@ def test_v2_stop_is_suffix_cut():
     assert v2.state.confirmed == replay.state.confirmed
 
 
+def _sterile_window_crawl(runner, k=None, tmp_path=None):
+    """A v2 crawl that stops by window, straight or checkpointed after ``k``.
+
+    Returns the result and, per fetch, whether the sterile-window condition
+    held, recomputed from the whole window."""
+    world = generate_world(crawl_world_spec(6))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"], version="v2", window_size=40)
+    ready = []
+
+    def audit(state, node):
+        top = state.frontier.max_priority()
+        ready.append(len(state.window) == 40 and not any(state.window)
+                     and (top is None or top <= 1))
+
+    src = world.fresh_source()
+    state = None
+    if k is not None:
+        part = runner(src, replace(cfg, max_fetches=k), audit_hook=audit)
+        save_state(part.state, tmp_path / "state.json")
+        state = resume(tmp_path / "state.json", src)
+    return runner(src, cfg, state=state, audit_hook=audit), ready
+
+
+@pytest.mark.parametrize("runner", [crawl, bfs_crawl])
+def test_v2_stops_at_the_first_sterile_window(runner):
+    res, ready = _sterile_window_crawl(runner)
+    assert res.stats.stop_reason == "window-stop"
+    assert ready.index(True) == len(ready) - 1 == res.stats.fetched - 1
+
+
+# On this world the FIFO crawl's last confirmation is 40 fetches before its
+# stop, so its checkpoints resume with confirmations still in the window; the
+# focused crawl's last one is 166 fetches before, inside ``back`` 170's window.
+@pytest.mark.parametrize("back", [1, 20, 39, 45, 60, 170])
+@pytest.mark.parametrize("runner", [crawl, bfs_crawl])
+def test_v2_checkpoint_inside_the_window_resumes_to_the_same_bytes(
+    tmp_path, runner, back
+):
+    straight, _ = _sterile_window_crawl(runner)
+    resumed, ready = _sterile_window_crawl(runner, straight.stats.fetched - back, tmp_path)
+    assert ready.index(True) == len(ready) - 1
+    assert resumed.state.to_json_bytes() == straight.state.to_json_bytes()
+
+
 # -- save / resume ------------------------------------------------------------
 
 
@@ -373,6 +586,48 @@ def test_fifo_resumes_from_renumbered_queue(tmp_path):
     assert done.graph == full.graph
     assert done.state.crawled == full.state.crawled
     assert done.stats == full.stats
+
+
+def _corrupt_duplicate_seq(frontier):
+    frontier["entries"][1][2] = frontier["entries"][0][2]
+
+
+def _corrupt_duplicate_node(frontier):
+    frontier["entries"][1][0] = frontier["entries"][0][0]
+
+
+def _corrupt_negative_seq(frontier):
+    frontier["entries"][0][2] = -1
+
+
+def _corrupt_seq_at_next_seq(frontier):
+    frontier["entries"][-1][2] = frontier["next_seq"]
+
+
+def _corrupt_huge_next_seq(frontier):
+    frontier["next_seq"] = 2**48
+
+
+def _corrupt_long_row(frontier):
+    frontier["entries"][0].append(0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_duplicate_seq, _corrupt_duplicate_node, _corrupt_negative_seq,
+    _corrupt_seq_at_next_seq, _corrupt_huge_next_seq, _corrupt_long_row,
+])
+def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    src = world.fresh_source()
+    part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
+    payload = json.loads(part.state.to_json_bytes())
+    assert len(payload["frontier"]["entries"]) >= 2
+    corrupt(payload["frontier"])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError):
+        resume(path, src)
 
 
 def test_resume_rejects_other_strategy(tmp_path):

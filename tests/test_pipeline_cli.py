@@ -28,7 +28,7 @@ from orgminer import (
     verify_manifest,
 )
 
-from conftest import two_community_spec
+from conftest import two_community_spec, write_half_then_fail
 
 GENERATE_ARTIFACTS = {
     "world_edges.txt",
@@ -514,6 +514,20 @@ def test_cli_communities_counts_classified_positions_with_given_rules(
     assert cli.main(args) == 0
     rows = [ln.split(",") for ln in report.read_text().splitlines()[1:]]
     assert sum(int(r[4]) for r in rows) > 0  # the bundled table does
+
+
+def test_cli_communities_failing_write_keeps_the_old_partition(
+    world_files, tmp_path, monkeypatch, capsys
+):
+    part = tmp_path / "partition.csv"
+    part.write_bytes(b"node,community\n1,0\n")
+    monkeypatch.setattr(type(part), "write_bytes", write_half_then_fail)
+    args = ["communities", "--edges", str(world_files["edges"])]
+    args += ["--out-partition", str(part), "--out-report", str(tmp_path / "r.csv")]
+    assert cli.main(args) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert part.read_bytes() == b"node,community\n1,0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["partition.csv"]
 
 
 def test_cli_report_verifies_manifest(pipeline_run, tmp_path, capsys):
