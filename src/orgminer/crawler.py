@@ -120,8 +120,13 @@ class CrawlConfig:
         )
 
 
-_SEQ_BITS = 48  # (-priority << 48) + seq sorts like (-priority, seq) for seq < 2**48
-_SEQ_MASK = (1 << _SEQ_BITS) - 1
+_BITS = 48  # seqs and node ids lie in [0, 2**48)
+_MASK = (1 << _BITS) - 1
+
+
+def _key(priority: int, seq: int, node: int) -> int:
+    """One int that sorts like ``(-priority, seq, node)`` for seq, node < 2**48."""
+    return (((-priority << _BITS) + seq) << _BITS) + node
 
 
 class Frontier:
@@ -129,14 +134,14 @@ class Frontier:
 
     Priority increases keep the original sequence number, so two
     candidates at equal priority dequeue in the order they first
-    appeared. A heap row is the int ``(-priority << _SEQ_BITS) + seq``; rows
-    whose node popped or whose priority changed are discarded lazily.
+    appeared. A heap row is the int ``_key(priority, seq, node)``; a row
+    is live while it equals its node's entry, and other rows are discarded
+    lazily. Node ids must lie in ``[0, 2**48)``.
     """
 
     def __init__(self):
-        self._heap: list[int] = []  # (-priority << _SEQ_BITS) + seq
-        self._entries: dict[int, tuple[int, int]] = {}  # node -> (priority, seq)
-        self._nodes: dict[int, int] = {}  # seq -> node, queued nodes only
+        self._heap: list[int] = []
+        self._entries: dict[int, int] = {}  # node -> its live heap key
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -146,50 +151,44 @@ class Frontier:
         return node in self._entries
 
     def priority_of(self, node: int) -> int:
-        return self._entries[node][0]
+        return -(self._entries[node] >> 2 * _BITS)
 
     def push(self, node: int, priority: int) -> None:
         if node in self._entries:
             raise CrawlError(f"node {node} already queued")
-        seq = self._next_seq
+        if not 0 <= node <= _MASK:
+            raise CrawlError(f"node id {node} is outside [0, 2**{_BITS})")
+        key = self._entries[node] = _key(priority, self._next_seq, node)
         self._next_seq += 1
-        self._entries[node] = (priority, seq)
-        self._nodes[seq] = node
-        heapq.heappush(self._heap, (-priority << _SEQ_BITS) + seq)
+        heapq.heappush(self._heap, key)
 
     def increase(self, node: int, by: int = 1) -> None:
-        priority, seq = self._entries[node]
-        priority += by
-        self._entries[node] = (priority, seq)
-        heapq.heappush(self._heap, (-priority << _SEQ_BITS) + seq)
-
-    def _node_of(self, key: int) -> int | None:
-        node = self._nodes.get(key & _SEQ_MASK)
-        if node is not None and self._entries[node][0] == -(key >> _SEQ_BITS):
-            return node
-        return None
+        key = self._entries[node] = self._entries[node] - (by << 2 * _BITS)
+        heapq.heappush(self._heap, key)
 
     def pop(self) -> tuple[int, int]:
         while self._heap:
             key = heapq.heappop(self._heap)
-            if (node := self._node_of(key)) is not None:
-                del self._entries[node], self._nodes[key & _SEQ_MASK]
-                return node, -(key >> _SEQ_BITS)
+            if self._entries.get(node := key & _MASK) == key:
+                del self._entries[node]
+                return node, -(key >> 2 * _BITS)
         raise CrawlError("frontier is empty")
 
     def max_priority(self) -> int | None:
-        while self._heap and self._node_of(self._heap[0]) is None:
-            heapq.heappop(self._heap)
-        return -(self._heap[0] >> _SEQ_BITS) if self._heap else None
+        heap, entries = self._heap, self._entries
+        while heap and entries.get(heap[0] & _MASK) != heap[0]:
+            heapq.heappop(heap)
+        return -(heap[0] >> 2 * _BITS) if heap else None
 
     def items(self) -> dict[int, int]:
-        return {node: prio for node, (prio, _) in self._entries.items()}
+        return {node: -(key >> 2 * _BITS) for node, key in self._entries.items()}
 
     # -- persistence ------------------------------------------------------
 
     def dump(self) -> dict:
         rows = sorted(
-            (seq, node, prio) for node, (prio, seq) in self._entries.items()
+            ((key >> _BITS) & _MASK, node, -(key >> 2 * _BITS))
+            for node, key in self._entries.items()
         )
         return {
             "next_seq": self._next_seq,
@@ -198,18 +197,19 @@ class Frontier:
 
     @classmethod
     def restore(cls, data: dict) -> "Frontier":
-        """Rebuild a dumped frontier; a malformed one raises ``StateError``."""
+        """Rebuild a dumped frontier; a bad or repeated node or seq: StateError."""
         f = cls()
-        f._next_seq = int(data["next_seq"])
-        rows = data["entries"]
-        nodes, prios, seqs = ([int(row[i]) for row in rows] for i in range(3))
-        f._entries = dict(zip(nodes, zip(prios, seqs)))
-        f._nodes = dict(zip(seqs, nodes))
-        if not (len(f._entries) == len(f._nodes) == len(rows)
-                and set(map(len, rows)) <= {3} and min(seqs, default=0) >= 0
-                and max(seqs, default=-1) < f._next_seq < 1 << _SEQ_BITS):
-            raise StateError("corrupt frontier: repeated node or seq, or bad seq")
-        f._heap = [(-prio << _SEQ_BITS) + seq for prio, seq in zip(prios, seqs)]
+        f._next_seq = next_seq = int(data["next_seq"])
+        entries, seqs = f._entries, set()
+        for node, prio, seq in (map(int, row) for row in data["entries"]):
+            if (node in entries or seq in seqs or not 0 <= node <= _MASK
+                    or not 0 <= seq < next_seq <= _MASK):
+                raise StateError(f"corrupt frontier: node {node} or seq {seq}")
+            seqs.add(seq)
+            entries[node] = _key(prio, seq, node)
+        if not 0 <= next_seq <= _MASK:
+            raise StateError(f"corrupt frontier: next_seq {next_seq} out of range")
+        f._heap = list(entries.values())
         heapq.heapify(f._heap)
         return f
 

@@ -259,6 +259,16 @@ def test_frontier_single_entry_per_node():
     assert len(f) == 0
 
 
+@pytest.mark.parametrize("node", [-1, 2**48])
+def test_frontier_rejects_node_ids_outside_the_key_range(node):
+    f = Frontier()
+    with pytest.raises(CrawlError):
+        f.push(node, 1)
+    assert len(f) == 0
+    f.push(2**48 - 1, 1)
+    assert f.pop() == (2**48 - 1, 1)
+
+
 # -- crawl basics -------------------------------------------------------------
 
 
@@ -612,9 +622,18 @@ def _corrupt_long_row(frontier):
     frontier["entries"][0].append(0)
 
 
+def _corrupt_negative_node(frontier):
+    frontier["entries"][0][0] = -1
+
+
+def _corrupt_huge_node(frontier):
+    frontier["entries"][0][0] = 2**48
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_duplicate_seq, _corrupt_duplicate_node, _corrupt_negative_seq,
     _corrupt_seq_at_next_seq, _corrupt_huge_next_seq, _corrupt_long_row,
+    _corrupt_negative_node, _corrupt_huge_node,
 ])
 def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     world = generate_world(crawl_world_spec(9))
