@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One executable, subcommand per stage, plus `pipeline` to run everything
-from a single config.  Every option of `pipeline` can live in a JSON
-config file; command-line flags override file values.  When an output
-location is omitted, the ORGMINER_OUT environment variable (if set)
-supplies the root directory.
+from a single config.  A stage subcommand writes the bytes of its
+pipeline stage, minus the config trailer.  Every option of `pipeline`
+can live in a JSON config file; command-line flags override file
+values.  When an output location is omitted, the ORGMINER_OUT
+environment variable (if set) supplies the root directory.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from pathlib import Path
 
 from .centrality import MEASURES, CentralityConfig, CentralityTable, centrality_table
 from .classifiers import CLASSIFIER_NAMES
-from .community import (
-    community_report,
-    detect_communities,
-    infer_roles,
-    load_role_rules,
-    partition_table_bytes,
-    report_table_bytes,
-)
+from .community import load_role_rules
 from .crawler import CrawlConfig, CrawlError, bfs_crawl, crawl, resume, save_state
 from .graph import (
     EXPORT_FORMATS,
@@ -33,23 +27,23 @@ from .graph import (
     anonymize,
     edge_list_bytes,
     export_graph,
-    labels_to_csv_bytes,
     load_graph,
     load_labels,
     profiles_to_jsonl_bytes,
 )
-from .leadership import (
-    classifier_table_bytes,
-    evaluate,
-    hidden_table_bytes,
-    precision_table_bytes,
-)
+from .leadership import classifier_table_bytes, cross_validate_all, ranking
 from .pipeline import (
     ConfigError,
     PipelineConfig,
     PipelineError,
+    community_artifacts,
+    crawl_artifacts,
+    label_maps,
+    ranking_artifacts,
     run_pipeline,
     verify_manifest,
+    world_artifacts,
+    write_artifacts,
 )
 from .synthworld import InMemorySource, WorldSpec, disclosure_census, generate_world
 from .utils import content_hash, write_bytes_atomic
@@ -81,13 +75,6 @@ def _source_for(graph) -> InMemorySource:
     return InMemorySource(graph, digest)
 
 
-def _labels_maps(path) -> tuple[dict[int, bool], dict[int, bool]]:
-    rows = load_labels(path)
-    managers = {v: r.is_manager for v, r in rows.items()}
-    disclosure = {v: r.discloses_position for v, r in rows.items()}
-    return managers, disclosure
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -97,14 +84,7 @@ def _cmd_generate(args) -> int:
         spec = replace(spec, rng_seed=args.seed)
     world = generate_world(spec)
     out = _out_root(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_bytes_atomic(out / "world_edges.txt", edge_list_bytes(world.graph))
-    write_bytes_atomic(
-        out / "world_profiles.jsonl", profiles_to_jsonl_bytes(world.graph.profiles)
-    )
-    write_bytes_atomic(
-        out / "world_labels.csv", labels_to_csv_bytes(world.truth.label_rows())
-    )
+    write_artifacts(out, world_artifacts(world))
     census = disclosure_census(world)
     lines = ["org,members,links,disclosing,disclosing_pct"]
     for row in (*census.rows, census.total):
@@ -137,14 +117,8 @@ def _cmd_crawl(args) -> int:
     runner = bfs_crawl if args.strategy == "fifo" else crawl
     result = runner(src, cfg, state=state)
     out = _out_root(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_bytes_atomic(out / "crawled_edges.txt", edge_list_bytes(result.graph))
-    write_bytes_atomic(
-        out / "crawled_profiles.jsonl", profiles_to_jsonl_bytes(result.graph.profiles)
-    )
+    write_artifacts(out, crawl_artifacts(result))
     stats = result.stats
-    stats_json = json.dumps(stats.to_dict(), sort_keys=True, indent=1) + "\n"
-    write_bytes_atomic(out / "crawl_stats.json", stats_json.encode())
     if args.save_state:
         save_state(result.state, args.save_state)
     print(
@@ -171,21 +145,12 @@ def _cmd_centrality(args) -> int:
 
 def _cmd_rank(args) -> int:
     table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
-    managers, disclosure = _labels_maps(args.labels)
-    ks = _int_list(args.k)
-    from .leadership import hidden_manager_report, precision_at_k, rank_nodes
-
-    precision: dict[str, dict[int, float]] = {}
-    for measure in table.measures:
-        ranked = rank_nodes(table, measure)
-        precision[measure] = {k: precision_at_k(ranked, managers, k) for k in ks}
-    hidden = hidden_manager_report(
-        rank_nodes(table, "cl"), managers, disclosure, k=args.hidden_k
+    managers, disclosure = label_maps(load_labels(args.labels))
+    precision, hidden = ranking(
+        table, managers, disclosure, _int_list(args.k), args.hidden_k
     )
     out = _out_root(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_bytes_atomic(out / "ranking_report.csv", precision_table_bytes(precision))
-    write_bytes_atomic(out / "hidden_managers.csv", hidden_table_bytes(hidden))
+    write_artifacts(out, ranking_artifacts(precision, hidden))
     for measure in sorted(precision):
         cells = ", ".join(f"p@{k}={v:.3f}" for k, v in sorted(precision[measure].items()))
         print(f"{measure}: {cells}")
@@ -198,23 +163,15 @@ def _cmd_rank(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
-    managers, disclosure = _labels_maps(args.labels)
+    managers, _ = label_maps(load_labels(args.labels))
     kinds = (
         CLASSIFIER_NAMES
         if args.classifiers == "all"
         else _str_list(args.classifiers)
     )
-    report = evaluate(
-        table,
-        managers,
-        disclosure,
-        kinds=kinds,
-        folds=args.folds,
-        seed=args.seed,
-        ks=(10, 20) if len(table.nodes) >= 20 else (min(10, len(table.nodes)),),
-    )
-    write_bytes_atomic(args.out, classifier_table_bytes(report.classifier_rows))
-    for row in report.classifier_rows:
+    rows = cross_validate_all(table, managers, kinds, args.folds, args.seed)
+    write_bytes_atomic(args.out, classifier_table_bytes(rows))
+    for row in rows:
         print(
             f"{row.classifier}: acc {row.accuracy:.2f}%  f1 {row.f1:.3f}  "
             f"auc {row.auc:.3f}"
@@ -224,15 +181,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_communities(args) -> int:
     graph = _load_graph_args(args)
-    partition = detect_communities(graph)
     managers = None
     if args.labels:
-        managers, _ = _labels_maps(args.labels)
+        managers, _ = label_maps(load_labels(args.labels))
     rules = load_role_rules(args.rules) if args.rules else None
-    roles = infer_roles(graph, partition, managers, rules=rules)
-    rows = community_report(graph, partition, roles, rules)
-    write_bytes_atomic(args.out_partition, partition_table_bytes(partition))
-    write_bytes_atomic(args.out_report, report_table_bytes(rows))
+    partition, files = community_artifacts(graph, managers, rules)
+    write_bytes_atomic(args.out_partition, files["communities.csv"])
+    write_bytes_atomic(args.out_report, files["community_report.csv"])
     print(f"communities: {len(partition)} at Q={partition.q:.4f}")
     return 0
 

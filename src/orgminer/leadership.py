@@ -269,6 +269,37 @@ class EvalReport:
     hidden: HiddenManagerReport
 
 
+def ranking(
+    table: CentralityTable,
+    manager_labels: Mapping[int, bool],
+    disclosure: Mapping[int, bool],
+    ks: Sequence[int],
+    hidden_k: int,
+) -> tuple[dict[str, dict[int, float]], HiddenManagerReport]:
+    """Precision@k per measure, and the hidden managers in the cl top `hidden_k`."""
+    precision: dict[str, dict[int, float]] = {}
+    for measure in table.measures:
+        ranked = rank_nodes(table, measure)
+        precision[measure] = {
+            k: precision_at_k(ranked, manager_labels, k) for k in ks
+        }
+    hidden = hidden_manager_report(
+        rank_nodes(table, "cl"), manager_labels, disclosure, k=hidden_k
+    )
+    return precision, hidden
+
+
+def cross_validate_all(
+    table: CentralityTable,
+    manager_labels: Mapping[int, bool],
+    kinds: Sequence[str],
+    folds: int,
+    seed: int,
+) -> tuple[CrossValidationRow, ...]:
+    instances = build_instances(table, manager_labels)
+    return tuple(cross_validate(kind, instances, folds, seed) for kind in kinds)
+
+
 def evaluate(
     table: CentralityTable,
     manager_labels: Mapping[int, bool],
@@ -279,17 +310,8 @@ def evaluate(
     ks: Sequence[int] = (10, 20),
     hidden_k: int = 20,
 ) -> EvalReport:
-    precision: dict[str, dict[int, float]] = {}
-    for measure in table.measures:
-        ranked = rank_nodes(table, measure)
-        precision[measure] = {
-            k: precision_at_k(ranked, manager_labels, k) for k in ks
-        }
-    hidden = hidden_manager_report(
-        rank_nodes(table, "cl"), manager_labels, disclosure, k=hidden_k
-    )
-    instances = build_instances(table, manager_labels)
-    rows = tuple(cross_validate(kind, instances, folds, seed) for kind in kinds)
+    precision, hidden = ranking(table, manager_labels, disclosure, ks, hidden_k)
+    rows = cross_validate_all(table, manager_labels, kinds, folds, seed)
     return EvalReport(rows, precision, hidden)
 
 

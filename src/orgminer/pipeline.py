@@ -21,15 +21,19 @@ different directory yields identical files.  Text artifacts carry the
 config hash in a trailing comment, JSON ones in a `_config_hash` key,
 and the manifest records a sha256 per artifact, so any tampering is
 detectable from the manifest alone.
+
+Each stage's files come from one function here, which the matching CLI
+subcommand calls without the hash: it writes the bytes of its stage.
 """
 
 from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -38,13 +42,15 @@ from . import __version__
 from .centrality import CentralityConfig, centrality_table
 from .classifiers import CLASSIFIER_NAMES
 from .community import (
+    Partition,
+    RoleRule,
     community_report,
     detect_communities,
     infer_roles,
     partition_table_bytes,
     report_table_bytes,
 )
-from .crawler import CrawlConfig, crawl
+from .crawler import CrawlConfig, CrawlResult, crawl
 from .graph import (
     EXPORT_FORMATS,
     LabelRow,
@@ -58,12 +64,13 @@ from .graph import (
     profiles_to_jsonl_bytes,
 )
 from .leadership import (
+    HiddenManagerReport,
     classifier_table_bytes,
     evaluate,
     hidden_table_bytes,
     precision_table_bytes,
 )
-from .synthworld import WorldSpec, generate_world
+from .synthworld import World, WorldSpec, generate_world
 from .utils import content_hash, derive_seed, stable_json, write_bytes_atomic
 
 _EXPORT_EXTENSIONS = {
@@ -100,27 +107,6 @@ class CrawlSettings:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "keywords", tuple(self.keywords))
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "window_size": self.window_size,
-            "max_fetches": self.max_fetches,
-            "concurrency_width": self.concurrency_width,
-            "seed_count": self.seed_count,
-            "seeds": list(self.seeds),
-            "keywords": list(self.keywords),
-            "target_org": self.target_org,
-            "seed_priority": self.seed_priority,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CrawlSettings":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown crawl settings: {sorted(unknown)}")
-        return cls(**known)
-
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -134,24 +120,6 @@ class AnalysisSettings:
     def __post_init__(self):
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         object.__setattr__(self, "ks", tuple(self.ks))
-
-    def to_dict(self) -> dict:
-        return {
-            "classifiers": list(self.classifiers),
-            "folds": self.folds,
-            "ks": list(self.ks),
-            "hidden_k": self.hidden_k,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "AnalysisSettings":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown analysis settings: {sorted(unknown)}")
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -180,35 +148,16 @@ class PipelineConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "world_spec": self.world_spec,
-            "import_edges": self.import_edges,
-            "import_labels": self.import_labels,
-            "master_seed": self.master_seed,
-            "crawl": self.crawl.to_dict(),
-            "analysis": self.analysis.to_dict(),
-            "export_format": self.export_format,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PipelineConfig":
         data = dict(d)
-        crawl_settings = CrawlSettings.from_dict(data.pop("crawl", {}))
-        analysis = AnalysisSettings.from_dict(data.pop("analysis", {}))
-        unknown = set(data) - {
-            "out_dir",
-            "world_spec",
-            "import_edges",
-            "import_labels",
-            "master_seed",
-            "export_format",
-        }
-        if unknown:
-            raise ConfigError(f"unknown pipeline settings: {sorted(unknown)}")
+        for key, settings in (("crawl", CrawlSettings), ("analysis", AnalysisSettings)):
+            data[key] = _from_dict(settings, data.get(key, {}), key)
         if "out_dir" not in data:
             raise ConfigError("out_dir is required")
-        return cls(crawl=crawl_settings, analysis=analysis, **data)
+        return _from_dict(cls, data, "pipeline")
 
     def config_hash(self) -> str:
         # out_dir excluded so identical runs into different directories
@@ -216,6 +165,13 @@ class PipelineConfig:
         d = self.to_dict()
         del d["out_dir"]
         return content_hash(stable_json(d).encode("utf-8"))
+
+
+def _from_dict(cls, d: Mapping, what: str):
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
+    return cls(**d)
 
 
 def import_dataset(
@@ -240,17 +196,114 @@ class PipelineResult:
     config_hash: str
 
 
-def _csv_footer(body: bytes, config_hash: str) -> bytes:
-    return body + f"# config: {config_hash}\n".encode("utf-8")
+def _csv_footer(body: bytes, chash: str | None) -> bytes:
+    if chash is None:
+        return body
+    return body + f"# config: {chash}\n".encode("utf-8")
 
 
-def _json_payload(obj: dict, config_hash: str) -> bytes:
+def _json_payload(obj: dict, chash: str | None) -> bytes:
     payload = dict(obj)
-    payload["_config_hash"] = config_hash
+    if chash is not None:
+        payload["_config_hash"] = chash
     return (stable_json(payload) + "\n").encode("utf-8")
 
 
+# -- stage artifacts ----------------------------------------------------------------
+
+
+def label_maps(
+    rows: Mapping[int, LabelRow],
+) -> tuple[dict[int, bool], dict[int, bool]]:
+    """Manager and disclosure labels of a parsed label table."""
+    managers = {v: r.is_manager for v, r in rows.items()}
+    disclosure = {v: r.discloses_position for v, r in rows.items()}
+    return managers, disclosure
+
+
+def world_artifacts(world: World, chash: str | None = None) -> dict[str, bytes]:
+    return {
+        "world_edges.txt": _csv_footer(edge_list_bytes(world.graph), chash),
+        "world_profiles.jsonl": _csv_footer(
+            profiles_to_jsonl_bytes(world.graph.profiles), chash
+        ),
+        "world_labels.csv": _csv_footer(
+            labels_to_csv_bytes(world.truth.label_rows()), chash
+        ),
+    }
+
+
+def crawl_artifacts(result: CrawlResult, chash: str | None = None) -> dict[str, bytes]:
+    config = result.state.config
+    stats = {
+        **result.stats.to_dict(),
+        "seeds": list(config.seeds),
+        "keywords": list(config.keywords),
+    }
+    return {
+        "crawled_edges.txt": _csv_footer(edge_list_bytes(result.graph), chash),
+        "crawled_profiles.jsonl": _csv_footer(
+            profiles_to_jsonl_bytes(result.graph.profiles), chash
+        ),
+        "crawl_stats.json": _json_payload(stats, chash),
+    }
+
+
+def ranking_artifacts(
+    precision: Mapping[str, Mapping[int, float]],
+    hidden: HiddenManagerReport,
+    chash: str | None = None,
+) -> dict[str, bytes]:
+    return {
+        "ranking_report.csv": _csv_footer(precision_table_bytes(precision), chash),
+        "hidden_managers.csv": _csv_footer(hidden_table_bytes(hidden), chash),
+    }
+
+
+def community_artifacts(
+    graph: SocialGraph,
+    manager_labels: Mapping[int, bool] | None,
+    rules: Sequence[RoleRule] | None = None,
+    chash: str | None = None,
+) -> tuple[Partition, dict[str, bytes]]:
+    partition = detect_communities(graph)
+    roles = infer_roles(graph, partition, manager_labels, rules=rules)
+    rows = community_report(graph, partition, roles, rules)
+    return partition, {
+        "communities.csv": _csv_footer(partition_table_bytes(partition), chash),
+        "community_report.csv": _csv_footer(report_table_bytes(rows), chash),
+    }
+
+
+# -- the run ------------------------------------------------------------------------
+
+
+@contextmanager
+def _stage(name: str):
+    """Report any failure inside the block as PipelineError naming `name`."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def write_artifacts(out: Path, files: Mapping[str, bytes]) -> dict[str, str]:
+    """Write each file into `out`, whole or not at all; return their hashes."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        write_bytes_atomic(out / name, data)
+    return {name: content_hash(data) for name, data in files.items()}
+
+
 Echo = Callable[[str], None] | None
+
+
+def _note(notices: list[str], echo: Echo, msg: str) -> None:
+    notices.append(msg)
+    if echo is not None:
+        echo(msg)
 
 
 def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
@@ -268,56 +321,23 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
         name: derive_seed(cfg.master_seed, name)
         for name in ("world", "crawl-seeds", "evaluate", "anonymize")
     }
-
-    def note(msg: str) -> None:
-        notices.append(msg)
-        if echo is not None:
-            echo(msg)
-
-    def emit(name: str, data: bytes) -> None:
-        write_bytes_atomic(out / name, data)
-        artifacts[name] = content_hash(data)
-
-    def run_stage(name: str, fn: Callable[[], None]) -> None:
-        try:
-            fn()
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
-
     world = None
-    graph: SocialGraph | None = None
+    crawl_stats: dict | None = None
     manager_labels: dict[int, bool] | None = None
     disclosure: dict[int, bool] | None = None
-    crawl_stats: dict | None = None
 
     if cfg.world_spec is not None:
-
-        def stage_generate() -> None:
-            nonlocal world, manager_labels, disclosure
+        with _stage("generate"):
             spec = WorldSpec.from_json_file(cfg.world_spec)
             # the master seed overrides the world file's own seed so one
             # number reproduces the entire run
             spec = replace(spec, rng_seed=stage_seeds["world"])
             world = generate_world(spec)
-            emit("world_edges.txt", _csv_footer(edge_list_bytes(world.graph), chash))
-            emit(
-                "world_profiles.jsonl",
-                _csv_footer(profiles_to_jsonl_bytes(world.graph.profiles), chash),
-            )
-            emit(
-                "world_labels.csv",
-                _csv_footer(labels_to_csv_bytes(world.truth.label_rows()), chash),
-            )
-            manager_labels = {
-                v: (v in world.truth.managers) for v in world.truth.all_members()
-            }
-            disclosure = dict(world.truth.disclosure)
+            artifacts |= write_artifacts(out, world_artifacts(world, chash))
+            rows = {r.node: r for r in world.truth.label_rows() if r.is_org_member}
+            manager_labels, disclosure = label_maps(rows)
 
-        def stage_crawl() -> None:
-            nonlocal graph, crawl_stats
-            assert world is not None
+        with _stage("crawl"):
             if not 0 <= cfg.crawl.target_org < len(world.spec.orgs):
                 raise ConfigError(f"target_org {cfg.crawl.target_org} out of range")
             members = world.truth.members[cfg.crawl.target_org]
@@ -325,7 +345,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 seeds = cfg.crawl.seeds
                 outside = [s for s in seeds if s not in members]
                 if outside:
-                    note(f"crawl seeds outside target org: {outside}")
+                    _note(notices, echo, f"crawl seeds outside target org: {outside}")
             else:
                 rng = np.random.default_rng(stage_seeds["crawl-seeds"])
                 count = min(cfg.crawl.seed_count, len(members))
@@ -346,118 +366,64 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 seed_priority=cfg.crawl.seed_priority,
             )
             result = crawl(world.fresh_source(), crawl_cfg)
-            graph = result.graph
-            emit("crawled_edges.txt", _csv_footer(edge_list_bytes(graph), chash))
-            emit(
-                "crawled_profiles.jsonl",
-                _csv_footer(profiles_to_jsonl_bytes(graph.profiles), chash),
-            )
-            crawl_stats = {
-                **result.stats.to_dict(),
-                "seeds": list(seeds),
-                "keywords": list(keywords),
-            }
-            emit("crawl_stats.json", _json_payload(crawl_stats, chash))
-
-        run_stage("generate", stage_generate)
-        run_stage("crawl", stage_crawl)
+            artifacts |= write_artifacts(out, crawl_artifacts(result, chash))
+            graph, crawl_stats = result.graph, result.stats.to_dict()
+            del result  # the crawl state is not needed past this stage
     else:
-
-        def stage_import() -> None:
-            nonlocal graph, manager_labels, disclosure
-            g, rows = import_dataset(cfg.import_edges, cfg.import_labels)
-            graph = g
-            emit("graph_edges.txt", _csv_footer(edge_list_bytes(g), chash))
+        with _stage("import"):
+            graph, rows = import_dataset(cfg.import_edges, cfg.import_labels)
+            edges = _csv_footer(edge_list_bytes(graph), chash)
+            artifacts |= write_artifacts(out, {"graph_edges.txt": edges})
             if rows is None:
-                note("no labels provided; skipping supervised stages")
+                _note(notices, echo, "no labels provided; skipping supervised stages")
             else:
-                manager_labels = {v: r.is_manager for v, r in rows.items()}
-                disclosure = {v: r.discloses_position for v, r in rows.items()}
+                manager_labels, disclosure = label_maps(rows)
 
-        run_stage("import", stage_import)
-
-    assert graph is not None
-    table = None
-
-    def stage_centrality() -> None:
-        nonlocal table
-        config = CentralityConfig(
-            tol=cfg.analysis.tol, max_iter=cfg.analysis.max_iter
-        )
+    with _stage("centrality"):
+        config = CentralityConfig(tol=cfg.analysis.tol, max_iter=cfg.analysis.max_iter)
         table = centrality_table(graph, config)
-        emit("centrality.csv", _csv_footer(table.to_csv_bytes(), chash))
-
-    run_stage("centrality", stage_centrality)
+        table_csv = _csv_footer(table.to_csv_bytes(), chash)
+        artifacts |= write_artifacts(out, {"centrality.csv": table_csv})
 
     supervised = manager_labels is not None and all(
         v in manager_labels for v in graph.nodes
     )
     if manager_labels is not None and not supervised:
-        note("labels do not cover every analyzed node; skipping supervised stages")
+        msg = "labels do not cover every analyzed node; skipping supervised stages"
+        _note(notices, echo, msg)
 
     eval_report = None
     if supervised:
-
-        def stage_evaluate() -> None:
-            nonlocal eval_report
-            assert table is not None and manager_labels is not None
+        with _stage("evaluate"):
             eval_report = evaluate(
                 table,
                 manager_labels,
-                disclosure or {},
+                disclosure,
                 kinds=cfg.analysis.classifiers,
                 folds=cfg.analysis.folds,
                 seed=stage_seeds["evaluate"],
                 ks=cfg.analysis.ks,
                 hidden_k=cfg.analysis.hidden_k,
             )
-            emit(
-                "ranking_report.csv",
-                _csv_footer(precision_table_bytes(eval_report.precision), chash),
-            )
-            emit(
-                "hidden_managers.csv",
-                _csv_footer(hidden_table_bytes(eval_report.hidden), chash),
-            )
-            emit(
-                "cv_report.csv",
-                _csv_footer(classifier_table_bytes(eval_report.classifier_rows), chash),
-            )
+            files = ranking_artifacts(eval_report.precision, eval_report.hidden, chash)
+            cv = classifier_table_bytes(eval_report.classifier_rows)
+            files["cv_report.csv"] = _csv_footer(cv, chash)
+            artifacts |= write_artifacts(out, files)
 
-        run_stage("evaluate", stage_evaluate)
+    with _stage("communities"):
+        partition, files = community_artifacts(graph, manager_labels, chash=chash)
+        artifacts |= write_artifacts(out, files)
 
-    partition = None
-    report_rows = None
-
-    def stage_communities() -> None:
-        nonlocal partition, report_rows
-        partition = detect_communities(graph)
-        roles = infer_roles(graph, partition, manager_labels)
-        report_rows = community_report(graph, partition, roles)
-        emit("communities.csv", _csv_footer(partition_table_bytes(partition), chash))
-        emit(
-            "community_report.csv",
-            _csv_footer(report_table_bytes(report_rows), chash),
-        )
-
-    run_stage("communities", stage_communities)
-
-    def stage_export() -> None:
-        assert partition is not None
+    with _stage("export"):
         anon, id_map = anonymize(graph, seed=stage_seeds["anonymize"])
-        communities = {
-            id_map[v]: c for v, c in partition.assignment.items()
-        }
+        communities = {id_map[v]: c for v, c in partition.assignment.items()}
         payload = export_graph(anon, cfg.export_format, communities=communities)
-        ext = _EXPORT_EXTENSIONS[cfg.export_format]
-        name = f"anonymized_graph.{ext}"
         if cfg.export_format in ("edge-list", "csv"):
             payload = _csv_footer(payload, chash)
-        emit(name, payload)
+        ext = _EXPORT_EXTENSIONS[cfg.export_format]
+        artifacts |= write_artifacts(out, {f"anonymized_graph.{ext}": payload})
 
-    run_stage("export", stage_export)
-
-    def stage_report() -> None:
+    with _stage("report"):
         lines = ["run summary", f"config: {chash}", ""]
         if world is not None:
             lines.append(
@@ -470,7 +436,6 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 "not found {not_found}, precision {precision:.4f}, "
                 "stopped by {stop_reason}".format(**crawl_stats)
             )
-        assert graph is not None
         lines.append(
             f"analyzed graph: {graph.num_nodes} nodes, {graph.num_edges} edges"
         )
@@ -488,16 +453,13 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 f"best classifier by AUC: {best.classifier} "
                 f"(acc {best.accuracy:.2f}%, f1 {best.f1:.3f}, auc {best.auc:.3f})"
             )
-        assert partition is not None
         lines.append(f"communities: {len(partition)} at Q={partition.q:.4f}")
         for msg in notices:
             lines.append(f"notice: {msg}")
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        emit("report.txt", _csv_footer(body, chash))
+        artifacts |= write_artifacts(out, {"report.txt": _csv_footer(body, chash)})
 
-    run_stage("report", stage_report)
-
-    def stage_manifest() -> None:
+    with _stage("manifest"):
         manifest = {
             "format_version": 1,
             "config_hash": chash,
@@ -513,9 +475,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 "orgminer": __version__,
             },
         }
-        emit("manifest.json", (stable_json(manifest) + "\n").encode("utf-8"))
-
-    run_stage("manifest", stage_manifest)
+        manifest_bytes = (stable_json(manifest) + "\n").encode("utf-8")
+        artifacts |= write_artifacts(out, {"manifest.json": manifest_bytes})
 
     return PipelineResult(
         out_dir=out,

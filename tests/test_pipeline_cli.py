@@ -28,6 +28,8 @@ from orgminer import (
     verify_manifest,
 )
 
+from orgminer.utils import derive_seed, stable_json
+
 from conftest import two_community_spec, write_half_then_fail
 
 GENERATE_ARTIFACTS = {
@@ -441,7 +443,7 @@ def test_cli_rank_reports_precision_and_hidden(world_files, world_table, tmp_pat
     )
     assert rc == 0
     report = (tmp_path / "ranking_report.csv").read_text().splitlines()
-    assert report[0] == "measure,p_at_10,p_at_20" or report[0].startswith("measure,")
+    assert report[0] == "measure,p_at_5,p_at_10"
     assert (tmp_path / "hidden_managers.csv").exists()
     out = capsys.readouterr().out
     assert "hidden managers in cl top-10" in out
@@ -469,6 +471,61 @@ def test_cli_evaluate_writes_classifier_table(world_files, world_table, tmp_path
     assert lines[0] == "classifier,accuracy_pct,f_measure,auc,folds,fallback_folds"
     assert {ln.split(",")[0] for ln in lines[1:]} == {"zero-r", "one-r"}
     assert "zero-r: acc" in capsys.readouterr().out
+
+
+def test_cli_evaluate_on_a_table_of_fewer_than_twenty_nodes(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {(i + 1) % 15}\n{i} {(i + 4) % 15}\n" for i in range(15)))
+    labels = tmp_path / "labels.csv"
+    rows = "".join(f"{v},{'true' if v % 3 == 0 else 'false'}\n" for v in range(15))
+    labels.write_text("node,is_manager\n" + rows)
+    table = tmp_path / "centrality.csv"
+    assert cli.main(["centrality", "--edges", str(edges), "--out", str(table)]) == 0
+    out = tmp_path / "cv_report.csv"
+    args = ["evaluate", "--table", str(table), "--labels", str(labels)]
+    assert cli.main(args + ["--folds", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 9
+
+
+def test_cli_chain_writes_the_pipeline_artifacts(world_files, pipeline_run, tmp_path):
+    """The subcommands, fed the run's seeds, write the pipeline's bytes
+    minus the config trailer."""
+    cfg, result = pipeline_run
+    stats = json.loads((result.out_dir / "crawl_stats.json").read_text())
+    d = str(tmp_path)
+    edges, profiles = f"{d}/crawled_edges.txt", f"{d}/crawled_profiles.jsonl"
+    table, labels = f"{d}/centrality.csv", f"{d}/world_labels.csv"
+    chain = [
+        ["generate", "--spec", str(world_files["spec"]), "--out-dir", d,
+         "--seed", str(derive_seed(7, "world"))],
+        ["crawl", "--edges", f"{d}/world_edges.txt",
+         "--profiles", f"{d}/world_profiles.jsonl",
+         "--keywords", ",".join(stats["keywords"]),
+         "--seeds", ",".join(map(str, stats["seeds"])),
+         "--budget", "300", "--out-dir", d],
+        ["centrality", "--edges", edges, "--out", table],
+        ["rank", "--table", table, "--labels", labels, "--out-dir", d],
+        ["evaluate", "--table", table, "--labels", labels,
+         "--seed", str(derive_seed(7, "evaluate")), "--out", f"{d}/cv_report.csv"],
+        ["communities", "--edges", edges, "--profiles", profiles, "--labels", labels,
+         "--out-partition", f"{d}/communities.csv",
+         "--out-report", f"{d}/community_report.csv"],
+    ]
+    for argv in chain:
+        assert cli.main(argv) == 0, argv
+    trailer = f"# config: {result.config_hash}\n".encode()
+    shared = GENERATE_ARTIFACTS - {"anonymized_graph.txt", "report.txt", "manifest.json"}
+    assert len(shared) == 12
+    for name in sorted(shared):
+        piped = (result.out_dir / name).read_bytes()
+        if name.endswith(".json"):
+            payload = json.loads(piped)
+            assert payload.pop("_config_hash") == result.config_hash
+            expected = (stable_json(payload) + "\n").encode()
+        else:
+            assert piped.endswith(trailer), name
+            expected = piped[: -len(trailer)]
+        assert (tmp_path / name).read_bytes() == expected, name
 
 
 def test_cli_communities_writes_partition_and_report(world_files, tmp_path, capsys):
