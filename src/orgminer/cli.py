@@ -232,15 +232,20 @@ def _cmd_pipeline(args) -> int:
     data: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    crawl_over = data.get("crawl", {})
-    if args.budget is not None:
-        crawl_over["max_fetches"] = args.budget
-    if args.version is not None:
-        crawl_over["version"] = args.version
-    if args.width is not None:
-        crawl_over["concurrency_width"] = args.width
-    if crawl_over:
-        data["crawl"] = crawl_over
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: a pipeline config must be a JSON object")
+    crawl_over = {
+        key: value
+        for key, value in (
+            ("max_fetches", args.budget),
+            ("version", args.version),
+            ("concurrency_width", args.width),
+        )
+        if value is not None
+    }
+    crawl = data.get("crawl", {})
+    if crawl_over and isinstance(crawl, dict):  # any other section fails in from_dict
+        data["crawl"] = {**crawl, **crawl_over}
     if args.spec is not None:
         data["world_spec"] = args.spec
     if args.import_edges is not None:

@@ -17,6 +17,11 @@ The FIFO baseline (``bfs_crawl``) queues every candidate at priority 0
 and never raises it, so the same frontier pops in first-enqueue order.
 Widths above 1 fetch a batch in parallel and apply it in pop order, so
 every crawl is deterministic.
+
+Encoding and decoding a crawl state run with cyclic GC paused
+(``utils.gc_paused``): the payload is tens of thousands of acyclic lists
+and dicts, and without the pause a checkpoint or resume pays for full
+collections over every object of the world being crawled.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Sequence
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
-from .utils import stable_json, write_bytes_atomic
+from .utils import gc_paused, stable_json, write_bytes_atomic
 
 STATE_FORMAT_VERSION = 1
 
@@ -254,7 +259,11 @@ class CrawlState:
         )
 
     def to_json_bytes(self) -> bytes:
-        payload = {
+        with gc_paused():  # the payload is freed before GC comes back on
+            return (stable_json(self._payload()) + "\n").encode("utf-8")
+
+    def _payload(self) -> dict:
+        return {
             "format_version": STATE_FORMAT_VERSION,
             "fingerprint": self.fingerprint,
             "strategy": self.strategy,
@@ -270,10 +279,14 @@ class CrawlState:
             "fetch_count": self.fetch_count,
             "not_found": self.not_found,
         }
-        return (stable_json(payload) + "\n").encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "CrawlState":
+        with gc_paused():  # the decoded payload is freed before GC comes back on
+            return cls._decode(data)
+
+    @classmethod
+    def _decode(cls, data: bytes) -> "CrawlState":
         try:
             payload = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,8 +1,10 @@
 """Undirected social graph with per-node profiles and canonical file formats.
 
-The graph type is immutable after construction. Node ids are arbitrary
-non-negative integers; edges are unordered pairs without self-loops or
-duplicates. Supported interchange formats:
+The graph type is immutable after construction, and is built with cyclic
+GC paused (``utils.gc_paused``): its adjacency sets hold only ints, and a
+full collection in the middle of a build walks every object the process
+holds. Node ids are arbitrary non-negative integers; edges are unordered
+pairs without self-loops or duplicates. Supported interchange formats:
 
 * edge list: one ``u v`` pair per line, optional ``# nodes:`` header lines
   so isolated nodes survive a round trip;
@@ -24,6 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+from .utils import gc_paused
 
 EXPORT_FORMATS = ("edge-list", "graphml", "dot", "csv")
 
@@ -105,28 +109,29 @@ class SocialGraph:
         edges: Iterable[tuple[int, int]] = (),
         profiles: Mapping[int, Profile] | None = None,
     ):
-        node_set = {int(v) for v in nodes}
-        adj: dict[int, set[int]] = {v: set() for v in node_set}
-        edge_set: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if u not in adj or v not in adj:
-                raise GraphError(f"edge ({u}, {v}) references an unknown node")
-            edge_set.add((u, v) if u < v else (v, u))  # duplicates collapse here
-            adj[u].add(v)
-            adj[v].add(u)
-        self._nodes: tuple[int, ...] = tuple(sorted(node_set))
-        self._adj = {v: frozenset(adj[v]) for v in self._nodes}
-        self._edges = frozenset(edge_set)
-        prof = dict(profiles or {})
-        for pid in prof:
-            if pid not in adj:
-                raise GraphError(f"profile references unknown node {pid}")
-        self._profiles = prof
-        self._index = {v: i for i, v in enumerate(self._nodes)}
-        self._matrix = None
+        with gc_paused():  # one set and one frozenset per node, all acyclic
+            node_set = {int(v) for v in nodes}
+            adj: dict[int, set[int]] = {v: set() for v in node_set}
+            edge_set: set[tuple[int, int]] = set()
+            for u, v in edges:
+                u, v = int(u), int(v)
+                if u == v:
+                    raise GraphError(f"self-loop at node {u}")
+                if u not in adj or v not in adj:
+                    raise GraphError(f"edge ({u}, {v}) references an unknown node")
+                edge_set.add((u, v) if u < v else (v, u))  # duplicates collapse here
+                adj[u].add(v)
+                adj[v].add(u)
+            self._nodes: tuple[int, ...] = tuple(sorted(node_set))
+            self._adj = {v: frozenset(adj[v]) for v in self._nodes}
+            self._edges = frozenset(edge_set)
+            prof = dict(profiles or {})
+            for pid in prof:
+                if pid not in adj:
+                    raise GraphError(f"profile references unknown node {pid}")
+            self._profiles = prof
+            self._index = {v: i for i, v in enumerate(self._nodes)}
+            self._matrix = None
 
     # -- topology ---------------------------------------------------------
 

@@ -33,7 +33,8 @@ import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -152,7 +153,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PipelineConfig":
-        data = dict(d)
+        """Build a config from JSON-shaped data; a section that is not an
+        object, an unknown key or a value of the wrong type: ConfigError."""
+        data = dict(_section(d, "pipeline"))
         for key, settings in (("crawl", CrawlSettings), ("analysis", AnalysisSettings)):
             data[key] = _from_dict(settings, data.get(key, {}), key)
         if "out_dir" not in data:
@@ -167,11 +170,36 @@ class PipelineConfig:
         return content_hash(stable_json(d).encode("utf-8"))
 
 
+def _section(d, what: str) -> Mapping:
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"{what} settings must be an object, got {d!r}")
+    return d
+
+
 def _from_dict(cls, d: Mapping, what: str):
-    unknown = set(d) - set(cls.__dataclass_fields__)
+    unknown = set(_section(d, what)) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for name, value in d.items():
+        hint = hints[name]
+        if not _has_type(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{what} setting {name!r} must be {expected}, got {value!r}")
     return cls(**d)
+
+
+def _has_type(value, hint) -> bool:
+    """JSON-shaped check of ``value`` against a settings annotation: lists
+    stand for tuples, ints for floats, and a bool is not a number."""
+    args = get_args(hint)
+    if isinstance(hint, UnionType):
+        return any(_has_type(value, h) for h in args)
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def import_dataset(

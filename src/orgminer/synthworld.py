@@ -234,15 +234,28 @@ class FetchSource(Protocol):
     @property
     def fingerprint(self) -> str: ...
 
-    def fetch_profile(self, node: int) -> tuple[Profile, list[int]]: ...
+    def fetch_profile(self, node: int) -> tuple[Profile, tuple[int, ...]]: ...
 
 
 class InMemorySource:
-    """Serves a fixed graph; deterministic, with a thread-safe fetch counter."""
+    """Serves a fixed graph; deterministic, with a thread-safe fetch counter.
 
-    def __init__(self, graph: SocialGraph, fingerprint: str):
+    A friend list is an immutable sorted tuple, sorted on the node's first
+    fetch and kept in ``friends``, a cache that every source of one world
+    shares (``World.fresh_source``), so each list is sorted once per world
+    and repeat fetches return the same tuple. Each source counts its own
+    fetches.
+    """
+
+    def __init__(
+        self,
+        graph: SocialGraph,
+        fingerprint: str,
+        friends: dict[int, tuple[int, ...]] | None = None,
+    ):
         self._graph = graph
         self._fingerprint = fingerprint
+        self._friends = {} if friends is None else friends
         self._count = 0
         self._lock = threading.Lock()
 
@@ -254,15 +267,21 @@ class InMemorySource:
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def fetch_profile(self, node: int) -> tuple[Profile, list[int]]:
+    def fetch_profile(self, node: int) -> tuple[Profile, tuple[int, ...]]:
         with self._lock:
             self._count += 1
-        if not self._graph.has_node(node):
-            raise UnknownProfileError(node)
+        friends = self._friends.get(node)
+        if friends is None:
+            if not self._graph.has_node(node):
+                raise UnknownProfileError(node)
+            # setdefault: of two threads sorting one list, both keep the first
+            friends = self._friends.setdefault(
+                node, tuple(sorted(self._graph.neighbors(node)))
+            )
         profile = self._graph.profile(node)
         if profile is None:
             profile = Profile(node=node)
-        return profile, sorted(self._graph.neighbors(node))
+        return profile, friends
 
 
 @dataclass
@@ -279,8 +298,9 @@ class World:
         return self.source.fingerprint
 
     def fresh_source(self) -> InMemorySource:
-        """A new source over the same world, with its own fetch counter."""
-        return InMemorySource(self.graph, self.fingerprint)
+        """A new source over the same world, with its own fetch counter and
+        the friend-list cache of ``source``."""
+        return InMemorySource(self.graph, self.fingerprint, self.source._friends)
 
 
 # -- edge sampling -------------------------------------------------------------

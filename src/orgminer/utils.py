@@ -1,8 +1,9 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-apportionment."""
+apportionment, and a cyclic-GC pause for bulk builds."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -33,6 +34,31 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class gc_paused:
+    """Context manager that holds off cyclic garbage collection in its block.
+
+    For builders of many acyclic containers at once (a decoded JSON
+    payload, a graph's adjacency sets): each full collection walks every
+    tracked object in the process, and such a build would otherwise
+    trigger several. Reference counting still frees everything. At exit,
+    exceptions included, GC is turned back on only if this block turned
+    it off, so nested blocks and callers that disabled GC keep their
+    setting. Turning it back on is the last thing the block does, so the
+    collection it has held off runs at the caller's next allocation,
+    after the builder has dropped its temporaries.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __enter__(self) -> None:
+        self._owner = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._owner:
+            gc.enable()
 
 
 def content_hash(data: bytes) -> str:

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import itertools
 import json
@@ -22,9 +23,9 @@ from orgminer import (
     resume,
     save_state,
 )
-from orgminer.crawler import Frontier, _normalize
+from orgminer.crawler import CrawlState, Frontier, _normalize
 from orgminer.synthworld import InMemorySource
-from orgminer.graph import SocialGraph
+from orgminer.graph import GraphError, SocialGraph
 
 from conftest import crawl_world_spec, write_half_then_fail
 
@@ -699,6 +700,71 @@ def test_corrupt_state_file_rejected(tmp_path):
     path.write_bytes(b'{"format_version": 99}')
     with pytest.raises(StateError):
         resume(path, world.fresh_source())
+
+
+# -- cyclic GC pause ------------------------------------------------------------
+
+
+def _collections_during(call):
+    """``call()`` and the number of collections that started inside it.
+
+    The count starts from an empty young generation with its threshold at
+    20 containers, so a call that allocates hundreds with GC enabled
+    starts over ten collections."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(20)
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        result = call()
+        count = len(started)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(hook)
+    return result, count
+
+
+def test_state_encode_and_decode_run_no_collection():
+    world = generate_world(crawl_world_spec(8))
+    seeds = sorted(world.truth.all_members())[:3]
+    state = crawl(world.fresh_source(), CrawlConfig(seeds=seeds, keywords=["acme"])).state
+    data, encode_runs = _collections_during(state.to_json_bytes)
+    decoded, decode_runs = _collections_during(lambda: CrawlState.from_json_bytes(data))
+    assert (encode_runs, decode_runs) == (0, 0)
+    assert decoded.to_json_bytes() == data
+    # the bare decode of the same bytes, unpaused, starts over ten
+    _, unpaused = _collections_during(lambda: json.loads(data))
+    assert unpaused > 10
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_setting_survives_every_paused_call(enabled):
+    world = generate_world(crawl_world_spec(8))
+    seeds = sorted(world.truth.all_members())[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=20)
+    data = crawl(world.fresh_source(), cfg).state.to_json_bytes()
+    corrupt_frontier = json.loads(data)
+    _corrupt_duplicate_node(corrupt_frontier["frontier"])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        CrawlState.from_json_bytes(data).to_json_bytes()
+        assert gc.isenabled() is enabled
+        for corrupt in (b"{ not json", json.dumps(corrupt_frontier).encode()):
+            with pytest.raises(StateError):
+                CrawlState.from_json_bytes(corrupt)
+            assert gc.isenabled() is enabled
+        with pytest.raises(GraphError):
+            SocialGraph([0, 1], [(0, 2)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -132,6 +133,29 @@ def test_from_dict_rejects_unknown_keys():
         PipelineConfig.from_dict({**base, "crawl": {"speed": 9}})
     with pytest.raises(ConfigError, match="unknown analysis settings"):
         PipelineConfig.from_dict({**base, "analysis": {"depth": 2}})
+
+
+def test_from_dict_rejects_values_of_the_wrong_type():
+    base = {"out_dir": "o", "world_spec": "s.json"}
+    for bad, message in [
+        ({"crawl": None}, "crawl settings must be an object"),
+        ({"analysis": [1]}, "analysis settings must be an object"),
+        ({"crawl": {"seeds": 5}}, "crawl setting 'seeds'"),
+        ({"crawl": {"keywords": ["acme", 3]}}, "crawl setting 'keywords'"),
+        ({"crawl": {"max_fetches": "5"}}, "crawl setting 'max_fetches'"),
+        ({"analysis": {"folds": 2.5}}, "analysis setting 'folds'"),
+        ({"analysis": {"tol": True}}, "analysis setting 'tol'"),
+        ({"master_seed": "1"}, "pipeline setting 'master_seed'"),
+        ({"out_dir": 7}, "pipeline setting 'out_dir'"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PipelineConfig.from_dict({**base, **bad})
+    with pytest.raises(ConfigError, match="pipeline settings must be an object"):
+        PipelineConfig.from_dict(None)
+    # JSON lists stand for tuples, ints for floats, null for an unset option
+    cfg = PipelineConfig.from_dict({**base, "crawl": {"seeds": [1, 2], "max_fetches": None},
+                                    "analysis": {"tol": 0, "ks": [5]}})
+    assert (cfg.crawl.seeds, cfg.analysis.ks, cfg.analysis.tol) == ((1, 2), (5,), 0)
 
 
 def test_from_dict_requires_out_dir():
@@ -668,6 +692,22 @@ def test_cli_pipeline_without_source_fails(tmp_path, capsys):
     rc = cli.main(["pipeline", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"world_spec": "x.json", "crawl": {"seeds": 5}}, "crawl setting 'seeds' must be tuple[int, ...], got 5"),
+    ({"world_spec": "x.json", "crawl": None}, "crawl settings must be an object, got None"),
+    ([1, 2], "a pipeline config must be a JSON object"),
+])
+@pytest.mark.parametrize("flags", [[], ["--budget", "10"]])
+def test_cli_pipeline_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, message, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "o"), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_reports_missing_files_as_errors(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -166,11 +168,58 @@ def test_fetch_profile_contract():
     profile, friends = src.fetch_profile(member)
     assert profile.node == member
     assert len(friends) == 9
-    assert friends == sorted(world.graph.neighbors(member))
+    assert friends == tuple(sorted(world.graph.neighbors(member)))
     # repeat fetch: identical payload, counter still ticks
     again = src.fetch_profile(member)
     assert again == (profile, friends)
     assert src.fetch_count == 2
+
+
+def test_fresh_sources_share_friend_tuples_and_count_apart():
+    world = generate_world(two_community_spec(5))
+    first, second = world.fresh_source(), world.fresh_source()
+    member = world.truth.members[0][0]
+    _, friends = first.fetch_profile(member)
+    _, again = second.fetch_profile(member)
+    assert again is friends  # sorted once per world, not once per source
+    assert world.source.fetch_profile(member)[1] is friends
+    second.fetch_profile(member)
+    assert (first.fetch_count, second.fetch_count, world.source.fetch_count) == (1, 2, 1)
+
+
+def test_concurrent_first_fetches_agree_on_one_tuple_per_node():
+    world = generate_world(WorldSpec(
+        total_population=3000,
+        orgs=(OrgSpec(("acme",), size=300, intra_community_edge_prob=0.1),),
+        background_edge_prob=0.004,
+        rng_seed=0,
+    ))
+    sources = [world.fresh_source() for _ in range(8)]
+    nodes = list(world.graph.nodes)
+    seen = [[] for _ in sources]
+    start = threading.Barrier(len(sources), timeout=60)
+
+    def fetch_all(i):
+        start.wait()
+        for v in nodes:
+            seen[i].append(sources[i].fetch_profile(v)[1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch_all, args=(i,)) for i in range(len(sources))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, v in enumerate(nodes):
+        first = seen[0][k]
+        assert first == tuple(sorted(world.graph.neighbors(v)))
+        assert all(fetched[k] is first for fetched in seen)
+    assert all(src.fetch_count == len(nodes) for src in sources)
 
 
 def test_fetch_isolated_node_and_unknown_id():
@@ -184,7 +233,7 @@ def test_fetch_isolated_node_and_unknown_id():
     isolated = [v for v in world.graph.nodes if world.graph.degree(v) == 0]
     assert isolated  # population 3, one singleton org, no background edges
     _, friends = src.fetch_profile(isolated[0])
-    assert friends == []
+    assert friends == ()
     with pytest.raises(UnknownProfileError):
         src.fetch_profile(999)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from orgminer.utils import (
     apportion,
     content_hash,
     derive_seed,
+    gc_paused,
     short_hash,
     stable_json,
     write_bytes_atomic,
@@ -76,3 +78,24 @@ def test_write_bytes_atomic_failing_midway_leaves_the_old_file(tmp_path, monkeyp
         write_bytes_atomic(path, b"new contents that never land\n")
     assert path.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_gc_paused_restores_only_what_it_changed():
+    assert gc.isenabled()
+    with gc_paused():
+        assert not gc.isenabled()
+        with gc_paused():  # nested: nothing to do at either end
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(KeyError):
+        with gc_paused():
+            raise KeyError("x")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with gc_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
