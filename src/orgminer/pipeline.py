@@ -181,12 +181,15 @@ def _from_dict(cls, d: Mapping, what: str):
     if unknown:
         raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
     hints = get_type_hints(cls)
+    values = dict(d)
     for name, value in d.items():
         hint = hints[name]
         if not _has_type(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"{what} setting {name!r} must be {expected}, got {value!r}")
-    return cls(**d)
+        if isinstance(value, int) and float in (hint, *get_args(hint)):
+            values[name] = float(value)  # 0 and 0.0 make one config, one hash
+    return cls(**values)
 
 
 def _has_type(value, hint) -> bool:

@@ -19,12 +19,12 @@ import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 import numpy as np
 
 from .graph import LabelRow, Profile, SocialGraph
-from .utils import apportion, stable_json
+from .utils import apportion, gc_paused, stable_json
 
 
 class WorldSpecError(ValueError):
@@ -63,6 +63,13 @@ CATEGORY_CYCLE = ("R&D", "Sales", "Support", "IT", "Marketing")
 _BACKGROUND_EMPLOYERS = tuple(f"unrelated firm {i:03d}" for i in range(40))
 
 
+def _as_floats(spec, *names: str) -> None:
+    """Store the named fields as floats, so specs that are equal hash and
+    fingerprint alike whether a value was written 1 or 1.0."""
+    for name in names:
+        object.__setattr__(spec, name, float(getattr(spec, name)))
+
+
 @dataclass(frozen=True)
 class OrgSpec:
     """One planted organization."""
@@ -80,6 +87,8 @@ class OrgSpec:
     def __post_init__(self):
         object.__setattr__(self, "name_keywords", tuple(self.name_keywords))
         object.__setattr__(self, "location_labels", tuple(self.location_labels))
+        _as_floats(self, "intra_community_edge_prob", "inter_community_edge_prob",
+                   "manager_fraction", "manager_degree_boost", "position_disclosure_rate")
         if not self.name_keywords:
             raise WorldSpecError("an org needs at least one name keyword")
         if self.size < 1:
@@ -124,11 +133,11 @@ class OrgSpec:
             name_keywords=tuple(d["name_keywords"]),
             size=int(d["size"]),
             community_count=int(d.get("community_count", 1)),
-            intra_community_edge_prob=float(d.get("intra_community_edge_prob", 0.1)),
-            inter_community_edge_prob=float(d.get("inter_community_edge_prob", 0.0)),
-            manager_fraction=float(d.get("manager_fraction", 0.0)),
-            manager_degree_boost=float(d.get("manager_degree_boost", 1.0)),
-            position_disclosure_rate=float(d.get("position_disclosure_rate", 1.0)),
+            intra_community_edge_prob=d.get("intra_community_edge_prob", 0.1),
+            inter_community_edge_prob=d.get("inter_community_edge_prob", 0.0),
+            manager_fraction=d.get("manager_fraction", 0.0),
+            manager_degree_boost=d.get("manager_degree_boost", 1.0),
+            position_disclosure_rate=d.get("position_disclosure_rate", 1.0),
             location_labels=tuple(d.get("location_labels", ("HQ",))),
         )
 
@@ -145,6 +154,7 @@ class WorldSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "orgs", tuple(self.orgs))
+        _as_floats(self, "background_edge_prob", "cross_boundary_edge_prob")
         if self.total_population < 1:
             raise WorldSpecError("total_population must be positive")
         if not self.orgs:
@@ -170,8 +180,8 @@ class WorldSpec:
         return cls(
             total_population=int(d["total_population"]),
             orgs=tuple(OrgSpec.from_dict(o) for o in d["orgs"]),
-            background_edge_prob=float(d.get("background_edge_prob", 0.0)),
-            cross_boundary_edge_prob=float(d.get("cross_boundary_edge_prob", 0.0)),
+            background_edge_prob=d.get("background_edge_prob", 0.0),
+            cross_boundary_edge_prob=d.get("cross_boundary_edge_prob", 0.0),
             rng_seed=int(d.get("rng_seed", 0)),
         )
 
@@ -306,274 +316,271 @@ class World:
 # -- edge sampling -------------------------------------------------------------
 
 
-def _pair_from_index(k: int, n: int) -> tuple[int, int]:
-    """Decode a combination index into the k-th pair (i < j) of range(n)."""
+def _pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode combination indices into the pairs (i < j) of range(n)."""
     # Row i of the strictly-upper triangle starts at offset i*(2n - i - 1)/2.
-    # isqrt floors the root, which can push the row estimate one too high;
-    # nudge until the row actually brackets k.
+    # The float root estimates each row; past n = 2**26 or so it can miss
+    # by one, so nudge the rows that miss until every row brackets its k.
+    def start(i):
+        return i * (2 * n - i - 1) // 2
+
     b = 2 * n - 1
-    i = (b - math.isqrt(b * b - 8 * k)) // 2
-    while i > 0 and i * (2 * n - i - 1) // 2 > k:
-        i -= 1
-    while (i + 1) * (2 * n - i - 2) // 2 <= k:
-        i += 1
-    start = i * (2 * n - i - 1) // 2
-    j = k - start + i + 1
-    return i, j
+    i = ((b - np.sqrt(b * b - 8 * ks)) / 2).astype(np.int64)  # floor: both >= 0
+    while (high := start(i) > ks).any():
+        i -= high
+    while (low := start(i + 1) <= ks).any():
+        i += low
+    return i, ks - start(i) + i + 1
 
 
 def _distinct_indices(rng: np.random.Generator, total: int, m: int) -> np.ndarray:
-    """m distinct indices from range(total), deterministic under the rng."""
+    """m distinct indices from range(total), ascending, deterministic under
+    the rng."""
     if m >= total:
         return np.arange(total, dtype=np.int64)
     if m > total // 3:
-        return rng.permutation(total)[:m]
-    chosen: set[int] = set()
-    out = np.empty(m, dtype=np.int64)
-    filled = 0
-    while filled < m:
-        draw = rng.integers(0, total, size=m - filled)
-        for k in draw:
-            key = int(k)
-            if key not in chosen:
-                chosen.add(key)
-                out[filled] = key
-                filled += 1
-                if filled == m:
-                    break
-    return out
+        return np.sort(rng.permutation(total)[:m])
+    # rejection rounds: each draws as many indices as are still missing
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < m:
+        draw = rng.integers(0, total, size=m - len(chosen))
+        chosen = _sorted_unique(np.concatenate((chosen, draw)))
+    return chosen
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array by one sort: several times faster than
+    the hashing ``np.unique`` of numpy 2.3 and later."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
+def _edge_count(rng: np.random.Generator, total: int, p: float) -> int:
+    if total == 0 or p <= 0.0:
+        return 0
+    return total if p >= 1.0 else int(rng.binomial(total, p))
 
 
 def _sample_within(
-    rng: np.random.Generator, ids: Sequence[int], p: float
-) -> list[tuple[int, int]]:
+    rng: np.random.Generator, ids: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
     n = len(ids)
     total = n * (n - 1) // 2
-    if total == 0 or p <= 0.0:
-        return []
-    m = total if p >= 1.0 else int(rng.binomial(total, p))
-    ks = np.sort(_distinct_indices(rng, total, m))
-    pairs = []
-    for k in ks:
-        i, j = _pair_from_index(int(k), n)
-        pairs.append((int(ids[i]), int(ids[j])))
-    return pairs
+    i, j = _pairs_from_indices(_distinct_indices(rng, total, _edge_count(rng, total, p)), n)
+    return ids[i], ids[j]
 
 
 def _sample_across(
-    rng: np.random.Generator, a: Sequence[int], b: Sequence[int], p: float
-) -> list[tuple[int, int]]:
+    rng: np.random.Generator, a: np.ndarray, b: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
     total = len(a) * len(b)
-    if total == 0 or p <= 0.0:
-        return []
-    m = total if p >= 1.0 else int(rng.binomial(total, p))
-    ks = np.sort(_distinct_indices(rng, total, m))
-    nb = len(b)
-    return [(int(a[int(k) // nb]), int(b[int(k) % nb])) for k in ks]
+    ks = _distinct_indices(rng, total, _edge_count(rng, total, p))
+    return a[ks // len(b)], b[ks % len(b)]
+
+
+def _neighbour_sets(u: np.ndarray, v: np.ndarray, nodes: list[int]) -> dict[int, set[int]]:
+    """The neighbour sets of ``nodes`` alone, in the graph of edges u–v."""
+    nbrs: dict[int, set[int]] = {x: set() for x in nodes}
+    for a, b in ((u, v), (v, u)):
+        hit = np.isin(a, nodes)
+        for x, y in zip(a[hit].tolist(), b[hit].tolist()):
+            nbrs[x].add(y)
+    return nbrs
 
 
 # -- generation ----------------------------------------------------------------
 
 
 def generate_world(spec: WorldSpec) -> World:
-    """Materialize a world from its spec. Same spec + seed => same world."""
-    rng = np.random.default_rng(spec.rng_seed)
-    n = spec.total_population
+    """Materialize a world from its spec. Same spec + seed => same world.
 
-    # Membership is uncorrelated with node id: carve orgs from a permutation.
-    order = rng.permutation(n)
-    cursor = 0
-    org_members: list[np.ndarray] = []
-    for org in spec.orgs:
-        org_members.append(np.sort(order[cursor : cursor + org.size]))
-        cursor += org.size
-    background = np.sort(order[cursor:])
+    Edges are sampled as index arrays. The profile loop stays scalar: it
+    interleaves integer and float draws on the one stream. Cyclic GC is
+    paused throughout, as the build makes only acyclic containers.
+    """
+    with gc_paused():
+        rng = np.random.default_rng(spec.rng_seed)
+        n = spec.total_population
+        ids = list(range(n))  # one int per node, shared by every edge tuple
 
-    # Split each org into communities, again shuffled so community id and
-    # node id stay uncorrelated.
-    node_org: dict[int, int | None] = {v: None for v in range(n)}
-    node_community: dict[int, int | None] = {v: None for v in range(n)}
-    communities: dict[int, list[int]] = {}
-    community_org: dict[int, int] = {}
-    next_community = 0
-    for oi, org in enumerate(spec.orgs):
-        for v in org_members[oi]:
-            node_org[int(v)] = oi
-        shuffled = rng.permutation(org_members[oi])
-        sizes = apportion(org.size, [1.0] * org.community_count)
-        offset = 0
-        for size in sizes:
-            members = sorted(int(v) for v in shuffled[offset : offset + size])
-            communities[next_community] = members
-            community_org[next_community] = oi
-            for v in members:
-                node_community[v] = next_community
-            offset += size
-            next_community += 1
+        # Membership is uncorrelated with node id: carve orgs from a permutation.
+        order = rng.permutation(n)
+        cursor = 0
+        org_members: list[np.ndarray] = []
+        for org in spec.orgs:
+            org_members.append(np.sort(order[cursor : cursor + org.size]))
+            cursor += org.size
+        background = np.sort(order[cursor:])
 
-    # Edge classes partition the set of node pairs; each is sampled once.
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+        # Split each org into communities, again shuffled so community id and
+        # node id stay uncorrelated.
+        node_org: dict[int, int | None] = dict.fromkeys(ids)
+        node_community: dict[int, int | None] = dict.fromkeys(ids)
+        communities: dict[int, np.ndarray] = {}
+        community_org: dict[int, int] = {}
+        next_community = 0
+        for oi, org in enumerate(spec.orgs):
+            for v in org_members[oi].tolist():
+                node_org[v] = oi
+            shuffled = rng.permutation(org_members[oi])
+            sizes = apportion(org.size, [1.0] * org.community_count)
+            offset = 0
+            for size in sizes:
+                members = np.sort(shuffled[offset : offset + size])
+                communities[next_community] = members
+                community_org[next_community] = oi
+                for v in members.tolist():
+                    node_community[v] = next_community
+                offset += size
+                next_community += 1
 
-    def add_edges(pairs: Iterable[tuple[int, int]]) -> None:
-        for u, v in pairs:
-            adj[u].add(v)
-            adj[v].add(u)
+        # Edge classes partition the set of node pairs; each is sampled once.
+        pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        org_community_ids = [
+            [c for c in communities if community_org[c] == oi]
+            for oi in range(len(spec.orgs))
+        ]
+        for oi, org in enumerate(spec.orgs):
+            cids = org_community_ids[oi]
+            intra, inter = org.intra_community_edge_prob, org.inter_community_edge_prob
+            for idx, c in enumerate(cids):
+                pairs.append(_sample_within(rng, communities[c], intra))
+                for c2 in cids[idx + 1 :]:
+                    pairs.append(_sample_across(rng, communities[c], communities[c2], inter))
+        # Members of different orgs count as cross-boundary contacts too.
+        cross = spec.cross_boundary_edge_prob
+        for oi in range(len(spec.orgs)):
+            for oj in range(oi + 1, len(spec.orgs)):
+                pairs.append(_sample_across(rng, org_members[oi], org_members[oj], cross))
+        for oi in range(len(spec.orgs)):
+            pairs.append(_sample_across(rng, org_members[oi], background, cross))
+        pairs.append(_sample_within(rng, background, spec.background_edge_prob))
+        eu, ev = (np.concatenate(side) for side in zip(*pairs))
 
-    org_community_ids = [
-        [c for c in communities if community_org[c] == oi]
-        for oi in range(len(spec.orgs))
-    ]
-    for oi, org in enumerate(spec.orgs):
-        cids = org_community_ids[oi]
-        for idx, c in enumerate(cids):
-            add_edges(_sample_within(rng, communities[c], org.intra_community_edge_prob))
-            for c2 in cids[idx + 1 :]:
-                add_edges(
-                    _sample_across(
-                        rng,
-                        communities[c],
-                        communities[c2],
-                        org.inter_community_edge_prob,
-                    )
-                )
-    # Members of different orgs count as cross-boundary contacts too.
-    for oi in range(len(spec.orgs)):
-        for oj in range(oi + 1, len(spec.orgs)):
-            add_edges(
-                _sample_across(
-                    rng,
-                    org_members[oi],
-                    org_members[oj],
-                    spec.cross_boundary_edge_prob,
-                )
+        # Managers: per-org total = floor(size * fraction), spread over
+        # communities by largest remainder, chosen uniformly inside each.
+        managers: set[int] = set()
+        boost_edges: list[tuple[int, int]] = []
+        for oi, org in enumerate(spec.orgs):
+            total_managers = math.floor(org.size * org.manager_fraction + 1e-9)
+            cids = org_community_ids[oi]
+            weights = [len(communities[c]) for c in cids]
+            counts = apportion(total_managers, weights)
+            org_managers: list[int] = []
+            for c, count in zip(cids, counts):
+                picks = rng.permutation(len(communities[c]))[:count]
+                org_managers += communities[c][np.sort(picks)].tolist()
+            managers.update(org_managers)
+
+            # Degree boost: add within-community edges until each manager's
+            # within-community degree reaches boost * expected base degree.
+            # Only the org's managers' neighbour sets are ever read.
+            if org.manager_degree_boost > 1.0:
+                nbrs = _neighbour_sets(eu, ev, org_managers)
+                boost = org.manager_degree_boost * org.intra_community_edge_prob
+                for c in cids:
+                    members = communities[c].tolist()
+                    csize = len(members)
+                    target = min(int(round(boost * (csize - 1))), csize - 1)
+                    member_set = set(members)
+                    for x in [m for m in members if m in nbrs]:  # ascending
+                        deficit = target - len(nbrs[x] & member_set)
+                        if deficit <= 0:
+                            continue
+                        candidates = sorted(member_set - nbrs[x] - {x})
+                        picks = rng.permutation(len(candidates))[:deficit]
+                        for i in sorted(picks.tolist()):
+                            y = candidates[i]
+                            nbrs[x].add(y)
+                            if y in nbrs:
+                                nbrs[y].add(x)
+                            boost_edges.append((x, y))
+        bu, bv = np.array(boost_edges, dtype=np.int64).reshape(-1, 2).T
+        eu, ev = np.concatenate((eu, bu)), np.concatenate((ev, bv))
+
+        # Per-community planted category and location.
+        community_info: dict[int, CommunityInfo] = {}
+        for c in sorted(communities):
+            org = spec.orgs[community_org[c]]
+            local_index = org_community_ids[community_org[c]].index(c)
+            community_info[c] = CommunityInfo(
+                community=c,
+                org=community_org[c],
+                members=tuple(communities[c].tolist()),
+                category=CATEGORY_CYCLE[local_index % len(CATEGORY_CYCLE)],
+                location=org.location_labels[local_index % len(org.location_labels)],
             )
-    for oi in range(len(spec.orgs)):
-        add_edges(
-            _sample_across(
-                rng, org_members[oi], background, spec.cross_boundary_edge_prob
-            )
-        )
-    add_edges(_sample_within(rng, background, spec.background_edge_prob))
 
-    # Managers: per-org total = floor(size * fraction), spread over
-    # communities by largest remainder, chosen uniformly inside each.
-    managers: set[int] = set()
-    for oi, org in enumerate(spec.orgs):
-        total_managers = math.floor(org.size * org.manager_fraction + 1e-9)
-        cids = org_community_ids[oi]
-        weights = [len(communities[c]) for c in cids]
-        counts = apportion(total_managers, weights)
-        for c, count in zip(cids, counts):
-            members = communities[c]
-            picks = rng.permutation(len(members))[:count]
-            managers.update(members[i] for i in sorted(int(x) for x in picks))
-
-        # Degree boost: add within-community edges until each manager's
-        # within-community degree reaches boost * expected base degree.
-        if org.manager_degree_boost > 1.0:
-            for c in cids:
-                members = communities[c]
-                csize = len(members)
-                target = int(
-                    round(
-                        org.manager_degree_boost
-                        * org.intra_community_edge_prob
-                        * (csize - 1)
-                    )
+        # Profiles, drawn in ascending node order for determinism.
+        positions: dict[int, str] = {}
+        locations: dict[int, str] = {}
+        disclosure: dict[int, bool] = {}
+        profiles: dict[int, Profile] = {}
+        for v in ids:
+            oi = node_org[v]
+            if oi is None:
+                employer = _BACKGROUND_EMPLOYERS[
+                    int(rng.integers(0, len(_BACKGROUND_EMPLOYERS)))
+                ]
+                profiles[v] = Profile(
+                    node=v,
+                    name=f"user {v}",
+                    employers=(employer,),
+                    is_org_member=False,
+                    is_manager=False,
                 )
-                member_set = set(members)
-                for v in sorted(m for m in members if m in managers):
-                    within = len(adj[v] & member_set)
-                    deficit = min(target, csize - 1) - within
-                    if deficit <= 0:
-                        continue
-                    candidates = sorted(member_set - adj[v] - {v})
-                    picks = rng.permutation(len(candidates))[:deficit]
-                    add_edges((v, candidates[i]) for i in sorted(int(x) for x in picks))
-
-    # Per-community planted category and location.
-    community_info: dict[int, CommunityInfo] = {}
-    for c in sorted(communities):
-        org = spec.orgs[community_org[c]]
-        local_index = org_community_ids[community_org[c]].index(c)
-        community_info[c] = CommunityInfo(
-            community=c,
-            org=community_org[c],
-            members=tuple(communities[c]),
-            category=CATEGORY_CYCLE[local_index % len(CATEGORY_CYCLE)],
-            location=org.location_labels[local_index % len(org.location_labels)],
-        )
-
-    # Profiles, drawn in ascending node order for determinism.
-    positions: dict[int, str] = {}
-    locations: dict[int, str] = {}
-    disclosure: dict[int, bool] = {}
-    profiles: dict[int, Profile] = {}
-    for v in range(n):
-        oi = node_org[v]
-        if oi is None:
-            employer = _BACKGROUND_EMPLOYERS[
-                int(rng.integers(0, len(_BACKGROUND_EMPLOYERS)))
-            ]
+                continue
+            org = spec.orgs[oi]
+            info = community_info[node_community[v]]  # type: ignore[index]
+            keyword = org.name_keywords[int(rng.integers(0, len(org.name_keywords)))]
+            employer = keyword if rng.random() < 0.8 else f"works at {keyword}"
+            if v in managers:
+                position = MANAGEMENT_POSITIONS[
+                    int(rng.integers(0, len(MANAGEMENT_POSITIONS)))
+                ]
+            else:
+                pool = CATEGORY_POSITIONS[info.category]
+                position = pool[int(rng.integers(0, len(pool)))]
+            discloses = bool(rng.random() < org.position_disclosure_rate)
+            positions[v] = position
+            locations[v] = info.location
+            disclosure[v] = discloses
             profiles[v] = Profile(
                 node=v,
                 name=f"user {v}",
                 employers=(employer,),
-                is_org_member=False,
-                is_manager=False,
+                position=position if discloses else None,
+                location=info.location if discloses else None,
+                is_org_member=True,
+                is_manager=v in managers,
+                discloses_position=discloses,
             )
-            continue
-        org = spec.orgs[oi]
-        info = community_info[node_community[v]]  # type: ignore[index]
-        keyword = org.name_keywords[int(rng.integers(0, len(org.name_keywords)))]
-        employer = keyword if rng.random() < 0.8 else f"works at {keyword}"
-        if v in managers:
-            position = MANAGEMENT_POSITIONS[
-                int(rng.integers(0, len(MANAGEMENT_POSITIONS)))
-            ]
-        else:
-            pool = CATEGORY_POSITIONS[info.category]
-            position = pool[int(rng.integers(0, len(pool)))]
-        discloses = bool(rng.random() < org.position_disclosure_rate)
-        positions[v] = position
-        locations[v] = info.location
-        disclosure[v] = discloses
-        profiles[v] = Profile(
-            node=v,
-            name=f"user {v}",
-            employers=(employer,),
-            position=position if discloses else None,
-            location=info.location if discloses else None,
-            is_org_member=True,
-            is_manager=v in managers,
-            discloses_position=discloses,
+
+        keys = _sorted_unique(np.minimum(eu, ev) * n + np.maximum(eu, ev))
+        edges = list(zip(map(ids.__getitem__, (keys // n).tolist()),
+                         map(ids.__getitem__, (keys % n).tolist())))
+        graph = SocialGraph(ids, edges, profiles)
+        truth = WorldTruth(
+            org_keywords=tuple(o.name_keywords for o in spec.orgs),
+            members=tuple(tuple(ms.tolist()) for ms in org_members),
+            managers=frozenset(managers),
+            node_org=node_org,
+            node_community=node_community,
+            communities=community_info,
+            positions=positions,
+            locations=locations,
+            disclosure=disclosure,
         )
-
-    edges = sorted(
-        (u, v) for u, nbrs in adj.items() for v in nbrs if u < v
-    )
-    graph = SocialGraph(range(n), edges, profiles)
-    truth = WorldTruth(
-        org_keywords=tuple(o.name_keywords for o in spec.orgs),
-        members=tuple(tuple(int(v) for v in ms) for ms in org_members),
-        managers=frozenset(managers),
-        node_org=node_org,
-        node_community=node_community,
-        communities=community_info,
-        positions=positions,
-        locations=locations,
-        disclosure=disclosure,
-    )
-    fingerprint = _world_fingerprint(spec, graph)
-    return World(spec, graph, truth, InMemorySource(graph, fingerprint))
+        fingerprint = _world_fingerprint(spec, n, edges)
+        return World(spec, graph, truth, InMemorySource(graph, fingerprint))
 
 
-def _world_fingerprint(spec: WorldSpec, graph: SocialGraph) -> str:
+def _world_fingerprint(spec: WorldSpec, n: int, edges: list[tuple[int, int]]) -> str:
+    """Short digest of the spec and the sorted edge list."""
     h = hashlib.sha256()
     h.update(stable_json(spec.to_dict()).encode("utf-8"))
-    h.update(f"|n={graph.num_nodes}|m={graph.num_edges}".encode("utf-8"))
-    for u, v in graph.edges():
-        h.update(f"{u},{v};".encode("utf-8"))
+    h.update(f"|n={n}|m={len(edges)}".encode("utf-8"))
+    h.update("".join(f"{u},{v};" for u, v in edges).encode("utf-8"))
     return h.hexdigest()[:16]
 
 

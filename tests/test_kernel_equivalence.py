@@ -2,13 +2,15 @@
 
 The references are the earlier implementations: trees grown node by node
 on a materialized bootstrap with one sort per candidate feature, a full
-lexsort for the nearest neighbours, and a greedy-modularity heap that
-holds every adjacent pair. The kernels must give the same bits.
+lexsort for the nearest neighbours, a greedy-modularity heap that holds
+every adjacent pair, and the world generator's scalar pair decoder and
+rejection sampler. The kernels must give the same bits.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from orgminer import classifiers
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
 from orgminer.community import MergeStep, detect_communities
-from orgminer.synthworld import generate_world
+from orgminer.synthworld import _distinct_indices, _pairs_from_indices, generate_world
 
 from conftest import random_graph, small_graphs, two_community_spec
 
@@ -168,6 +170,41 @@ def ref_merges(g) -> tuple[MergeStep, ...]:
     return tuple(merges)
 
 
+# -- reference edge sampling -----------------------------------------------------------
+
+
+def ref_pair_from_index(k: int, n: int) -> tuple[int, int]:
+    b = 2 * n - 1
+    i = (b - math.isqrt(b * b - 8 * k)) // 2
+    while i > 0 and i * (2 * n - i - 1) // 2 > k:
+        i -= 1
+    while (i + 1) * (2 * n - i - 2) // 2 <= k:
+        i += 1
+    start = i * (2 * n - i - 1) // 2
+    return i, k - start + i + 1
+
+
+def ref_distinct_indices(rng: np.random.Generator, total: int, m: int) -> np.ndarray:
+    if m >= total:
+        return np.arange(total, dtype=np.int64)
+    if m > total // 3:
+        return rng.permutation(total)[:m]
+    chosen: set[int] = set()
+    out = np.empty(m, dtype=np.int64)
+    filled = 0
+    while filled < m:
+        draw = rng.integers(0, total, size=m - filled)
+        for k in draw:
+            key = int(k)
+            if key not in chosen:
+                chosen.add(key)
+                out[filled] = key
+                filled += 1
+                if filled == m:
+                    break
+    return out
+
+
 # -- data ------------------------------------------------------------------------------
 
 # few distinct values, so rows and values repeat
@@ -232,6 +269,57 @@ def test_knn_scores_in_chunks_like_one_pass(monkeypatch, budget):
     monkeypatch.setattr(classifiers, "_KNN_CHUNK_BYTES", budget)
     assert np.array_equal(model.scores(X_test), whole)
     assert np.array_equal(whole, ref_knn_scores(model, X_test))
+
+
+# -- edge sampling -----------------------------------------------------------------------
+
+
+def test_pair_decoder_matches_reference_on_every_index():
+    for n in range(61):
+        total = n * (n - 1) // 2
+        i, j = _pairs_from_indices(np.arange(total, dtype=np.int64), n)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            ref_pair_from_index(k, n) for k in range(total)
+        ]
+
+
+def _check_row_bounds(n: int, rows: np.ndarray) -> None:
+    """Row i's first and last index decode to (i, i + 1) and (i, n - 1), as
+    the reference gives at a sample of the rows."""
+    starts = rows * (2 * n - rows - 1) // 2
+    ends = starts + (n - 2 - rows)
+    for ks, cols in ((starts, rows + 1), (ends, np.full_like(rows, n - 1))):
+        i, j = _pairs_from_indices(ks, n)
+        assert np.array_equal(i, rows) and np.array_equal(j, cols)
+    for row, start, end in zip(*(a[::997].tolist() for a in (rows, starts, ends))):
+        assert ref_pair_from_index(start, n) == (row, row + 1)
+        assert ref_pair_from_index(end, n) == (row, n - 1)
+
+
+def test_pair_decoder_matches_reference_at_every_row_bound_of_a_huge_triangle():
+    n = 2**25
+    for lo in range(0, n - 1, 2**14):  # cache-sized blocks
+        _check_row_bounds(n, np.arange(lo, min(lo + 2**14, n - 1), dtype=np.int64))
+
+
+def test_pair_decoder_nudges_rows_the_float_root_misses():
+    # at n = 2**28 the float root puts most row ends one row too high
+    n = 2**28
+    rows = np.r_[0:n - 1:4099, n - 1000:n - 1].astype(np.int64)
+    _check_row_bounds(n, rows)
+
+
+@given(
+    st.integers(1, 3000).flatmap(lambda total: st.tuples(st.just(total), st.integers(0, total))),
+    st.integers(0, 2**32 - 1),
+)
+def test_distinct_indices_match_reference(total_m, seed):
+    total, m = total_m
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _distinct_indices(rng, total, m)
+    want = ref_distinct_indices(ref_rng, total, m)
+    assert np.array_equal(got, np.sort(want))  # the same set, ascending
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- greedy modularity -------------------------------------------------------------------

@@ -158,6 +158,15 @@ def test_from_dict_rejects_values_of_the_wrong_type():
     assert (cfg.crawl.seeds, cfg.analysis.ks, cfg.analysis.tol) == ((1, 2), (5,), 0)
 
 
+def test_int_and_float_settings_make_one_config_hash():
+    base = {"out_dir": "o", "world_spec": "s.json"}
+    as_int = PipelineConfig.from_dict({**base, "analysis": {"tol": 0, "folds": 5}})
+    as_float = PipelineConfig.from_dict({**base, "analysis": {"tol": 0.0, "folds": 5}})
+    assert as_int == as_float
+    assert (type(as_int.analysis.tol), type(as_int.analysis.folds)) == (float, int)
+    assert as_int.config_hash() == as_float.config_hash()
+
+
 def test_from_dict_requires_out_dir():
     with pytest.raises(ConfigError, match="out_dir"):
         PipelineConfig.from_dict({"world_spec": "s.json"})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -6,13 +7,19 @@ import numpy as np
 import pytest
 
 from orgminer import (
+    CrawlConfig,
     OrgSpec,
     UnknownProfileError,
     WorldSpec,
     WorldSpecError,
+    crawl,
     disclosure_census,
     generate_world,
+    resume,
+    save_state,
 )
+from orgminer.pipeline import world_artifacts
+from orgminer.utils import derive_seed
 
 from conftest import two_community_spec
 
@@ -27,12 +34,64 @@ def clique_spec(seed: int = 0) -> WorldSpec:
 
 
 def test_pair_index_decoding_is_exact():
-    from orgminer.synthworld import _pair_from_index
+    from orgminer.synthworld import _pairs_from_indices
 
     for n in (2, 3, 7, 10, 41):
         expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        got = [_pair_from_index(k, n) for k in range(n * (n - 1) // 2)]
-        assert got == expected
+        i, j = _pairs_from_indices(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(i.tolist(), j.tolist())) == expected
+
+
+# -- pinned worlds --------------------------------------------------------------
+
+
+def _bench_org(size, communities, intra, inter, managers, locations) -> OrgSpec:
+    return OrgSpec(("acme corp", "acme"), size=size, community_count=communities,
+                   intra_community_edge_prob=intra, inter_community_edge_prob=inter,
+                   manager_fraction=managers, manager_degree_boost=3.0,
+                   position_disclosure_rate=0.6, location_labels=locations)
+
+
+PINNED_WORLDS = {
+    # the benchmark's pipeline world at master seed 1
+    "pipeline-700": (
+        WorldSpec(700, (_bench_org(600, 5, 0.1, 0.01, 0.15, ("east", "west")),),
+                  background_edge_prob=0.002, cross_boundary_edge_prob=0.01,
+                  rng_seed=derive_seed(1, "world")),
+        "928469cc92f5ac7199cbf6c17c6bfa7162d2a119f0427c4297438c997099a338",
+    ),
+    # permutation draws (p > 1/3), a p = 1 clique, rejection draws (inter
+    # 0.05) and a manager boost whose candidates include other managers
+    "two-org-dense": (
+        WorldSpec(120, (
+            OrgSpec(("acme",), size=40, community_count=2, intra_community_edge_prob=0.9,
+                    inter_community_edge_prob=0.05, manager_fraction=0.3,
+                    manager_degree_boost=1.1, position_disclosure_rate=0.5,
+                    location_labels=("east", "west")),
+            OrgSpec(("globex", "globex inc"), size=20, community_count=2,
+                    intra_community_edge_prob=1.0, inter_community_edge_prob=0.2,
+                    manager_fraction=0.2, manager_degree_boost=2.0),
+        ), background_edge_prob=0.5, cross_boundary_edge_prob=0.6, rng_seed=7),
+        "ed60c26dc930bb2823ec480c1e0901a240454bc8321414af549e7e955bc455d4",
+    ),
+    # the benchmark's crawl world at seed 1
+    "crawl-20k": (
+        WorldSpec(20000, (_bench_org(2000, 8, 0.04, 0.004, 0.05, ("HQ", "North", "South")),),
+                  background_edge_prob=0.0002, cross_boundary_edge_prob=0.001, rng_seed=1),
+        "30e78c1028bb666332524b9194ecb5deb4335624608159dcce31bba7aa4c9f4e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_world_bytes_are_pinned(name):
+    spec, expected = PINNED_WORLDS[name]
+    world = generate_world(spec)
+    h = hashlib.sha256()
+    for artifact, data in sorted(world_artifacts(world).items()):
+        h.update(artifact.encode() + b"\0" + data)
+    h.update(world.fingerprint.encode())
+    assert h.hexdigest() == expected
 
 
 # -- spec validation ----------------------------------------------------------
@@ -58,6 +117,29 @@ def test_spec_json_round_trip(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(spec.to_dict()))
     assert WorldSpec.from_json_file(path) == spec
+
+
+def test_int_and_float_specs_make_one_world_and_resume_across(tmp_path):
+    def spec(intra, background):
+        return WorldSpec(
+            total_population=40,
+            orgs=(OrgSpec(("acme",), size=12, intra_community_edge_prob=intra,
+                          manager_fraction=0, manager_degree_boost=1),),
+            background_edge_prob=background,
+            cross_boundary_edge_prob=0.2,
+            rng_seed=3,
+        )
+
+    as_int, as_float = generate_world(spec(1, 0)), generate_world(spec(1.0, 0.0))
+    assert as_int.spec == as_float.spec
+    assert type(as_int.spec.orgs[0].intra_community_edge_prob) is float
+    assert as_int.fingerprint == as_float.fingerprint
+    seeds = as_int.truth.members[0][:1]
+    stopped = crawl(as_int.fresh_source(), CrawlConfig(seeds, ("acme",), max_fetches=3))
+    save_state(stopped.state, tmp_path / "state.json")
+    state = resume(tmp_path / "state.json", as_float.fresh_source())
+    finished = crawl(as_float.fresh_source(), CrawlConfig(seeds, ("acme",)), state)
+    assert finished.graph == crawl(as_int.fresh_source(), CrawlConfig(seeds, ("acme",))).graph
 
 
 # -- generation ---------------------------------------------------------------
