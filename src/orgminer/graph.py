@@ -1,10 +1,12 @@
 """Undirected social graph with per-node profiles and canonical file formats.
 
-The graph type is immutable after construction, and is built with cyclic
-GC paused (``utils.gc_paused``): its adjacency sets hold only ints, and a
-full collection in the middle of a build walks every object the process
-holds. Node ids are arbitrary non-negative integers; edges are unordered
-pairs without self-loops or duplicates. Supported interchange formats:
+The graph type is immutable after construction. Its topology is one
+read-only compressed sparse row (CSR) adjacency of int64 arrays, built
+by a few whole-array sorts and searches with no Python step per edge; it
+is the layout ``adjacency_matrix`` hands to the analysis. Node ids are
+any integers that fit in int64, negative ones included; a wider id is a
+``GraphError``. Edges are unordered pairs without self-loops or
+duplicates. Supported interchange formats:
 
 * edge list: one ``u v`` pair per line, optional ``# nodes:`` header lines
   so isolated nodes survive a round trip;
@@ -16,18 +18,20 @@ pairs without self-loops or duplicates. Supported interchange formats:
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .utils import gc_paused
+from .utils import sorted_unique
 
 EXPORT_FORMATS = ("edge-list", "graphml", "dot", "csv")
 
@@ -99,39 +103,46 @@ class LabelRow:
 
 
 class SocialGraph:
-    """Immutable simple undirected graph over integer node ids."""
+    """Immutable simple undirected graph over integer node ids, held as one
+    read-only CSR: the ascending node ids ``_ids``, and for the node at
+    position ``i`` its neighbours' positions, ascending, at
+    ``_indices[_indptr[i]:_indptr[i + 1]]``."""
 
-    __slots__ = ("_nodes", "_adj", "_edges", "_profiles", "_index", "_matrix")
+    __slots__ = ("_ids", "_nodes", "_indptr", "_indices", "_profiles", "_matrix")
 
     def __init__(
         self,
         nodes: Iterable[int],
-        edges: Iterable[tuple[int, int]] = (),
+        edges: Iterable[tuple[int, int]] | np.ndarray = (),
         profiles: Mapping[int, Profile] | None = None,
     ):
-        with gc_paused():  # one set and one frozenset per node, all acyclic
-            node_set = {int(v) for v in nodes}
-            adj: dict[int, set[int]] = {v: set() for v in node_set}
-            edge_set: set[tuple[int, int]] = set()
-            for u, v in edges:
-                u, v = int(u), int(v)
-                if u == v:
-                    raise GraphError(f"self-loop at node {u}")
-                if u not in adj or v not in adj:
-                    raise GraphError(f"edge ({u}, {v}) references an unknown node")
-                edge_set.add((u, v) if u < v else (v, u))  # duplicates collapse here
-                adj[u].add(v)
-                adj[v].add(u)
-            self._nodes: tuple[int, ...] = tuple(sorted(node_set))
-            self._adj = {v: frozenset(adj[v]) for v in self._nodes}
-            self._edges = frozenset(edge_set)
-            prof = dict(profiles or {})
-            for pid in prof:
-                if pid not in adj:
-                    raise GraphError(f"profile references unknown node {pid}")
-            self._profiles = prof
-            self._index = {v: i for i, v in enumerate(self._nodes)}
-            self._matrix = None
+        ids = sorted_unique(_id_array(nodes))
+        pairs = _id_array(edges, pairs=True)
+        bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, ids).all(axis=1)
+        if bad.any():  # the first bad edge, a self-loop before an unknown node
+            u, v = pairs[np.argmax(bad)].tolist()
+            if u == v:
+                raise GraphError(f"self-loop at node {u}")
+            raise GraphError(f"edge ({u}, {v}) references an unknown node")
+        # Both orientations as keys row * n + col: one sort orders the rows
+        # and their neighbours, and drops duplicate edges in either orientation.
+        n, (pu, pv) = len(ids), ids.searchsorted(pairs).T
+        keys = sorted_unique(np.concatenate((pu * n + pv, pv * n + pu)))
+        indptr, indices = keys.searchsorted(np.arange(n + 1) * n), keys % n
+        for a in (ids, indptr, indices):
+            a.flags.writeable = False
+        self._ids, self._indptr, self._indices = ids, indptr, indices
+        self._nodes: tuple[int, ...] = tuple(ids.tolist())
+        self._matrix = None
+        self._set_profiles(profiles)
+
+    def _set_profiles(self, profiles: Mapping[int, Profile] | None) -> None:
+        self._profiles = dict(profiles or {})
+        pids = _id_array(self._profiles)
+        if len(dangling := np.sort(pids[~np.isin(pids, self._ids)])):
+            raise GraphError(
+                f"profiles reference nodes absent from the graph: {dangling.tolist()}"
+            )
 
     # -- topology ---------------------------------------------------------
 
@@ -145,40 +156,51 @@ class SocialGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._indices) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        """Every edge once as ``(u, v)`` with ``u < v``, in ascending order."""
+        rows = np.repeat(np.arange(len(self._ids)), np.diff(self._indptr))
+        upper = rows < self._indices
+        at = self._nodes.__getitem__  # the tuples share the graph's int objects
+        lo, hi = rows[upper].tolist(), self._indices[upper].tolist()
+        return list(zip(map(at, lo), map(at, hi)))
 
     def has_node(self, v: int) -> bool:
-        return v in self._adj
+        i = self._ids.searchsorted(v)
+        return bool(i < len(self._ids) and self._ids[i] == v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edges
+        return self.has_node(u) and v in self.sorted_neighbors(u)
+
+    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
+        """The neighbours of ``v`` in ascending id order."""
+        p = self.index_of(v)
+        return tuple(self._ids[self._indices[self._indptr[p] : self._indptr[p + 1]]].tolist())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(self.sorted_neighbors(v))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        p = self.index_of(v)
+        return int(self._indptr[p + 1] - self._indptr[p])
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(self._adj[v]) for v in self._nodes)
+        return tuple(np.diff(self._indptr).tolist())
 
     def index_of(self, v: int) -> int:
-        return self._index[v]
+        """Position of node ``v`` in ``nodes``; KeyError when absent."""
+        if not self.has_node(v):
+            raise KeyError(v)
+        return int(self._ids.searchsorted(v))
 
     def adjacency_matrix(self) -> sp.csr_array:
-        """CSR adjacency in ascending-node-id order (cached)."""
+        """CSR adjacency in ascending-node-id order (cached), on the graph's
+        own read-only arrays."""
         if self._matrix is None:
             n = len(self._nodes)
-            rows, cols = [], []
-            for u, v in sorted(self._edges):
-                iu, iv = self._index[u], self._index[v]
-                rows += [iu, iv]
-                cols += [iv, iu]
-            data = np.ones(len(rows), dtype=np.float64)
-            self._matrix = sp.csr_array((data, (rows, cols)), shape=(n, n))
+            data = np.ones(len(self._indices), dtype=np.float64)
+            self._matrix = sp.csr_array((data, self._indices, self._indptr), shape=(n, n))
         return self._matrix
 
     # -- profiles ---------------------------------------------------------
@@ -191,23 +213,28 @@ class SocialGraph:
         return self._profiles.get(v)
 
     def with_profiles(self, profiles: Mapping[int, Profile]) -> "SocialGraph":
-        return SocialGraph(self._nodes, self._edges, profiles)
+        g = copy.copy(self)  # shares the read-only arrays
+        g._set_profiles(profiles)
+        return g
 
     def subgraph(self, keep: Iterable[int]) -> "SocialGraph":
-        keep_set = set(keep)
-        unknown = keep_set - set(self._nodes)
-        if unknown:
-            raise GraphError(f"subgraph references unknown nodes {sorted(unknown)}")
-        edges = [(u, v) for u, v in self._edges if u in keep_set and v in keep_set]
+        keep_ids = sorted_unique(_id_array(keep))
+        unknown = keep_ids[~np.isin(keep_ids, self._ids)]
+        if len(unknown):
+            raise GraphError(f"subgraph references unknown nodes {unknown.tolist()}")
+        rows, cols = np.repeat(self._ids, np.diff(self._indptr)), self._ids[self._indices]
+        inside = np.isin(rows, keep_ids) & np.isin(cols, keep_ids)
+        keep_set = set(keep_ids.tolist())
         profiles = {v: p for v, p in self._profiles.items() if v in keep_set}
-        return SocialGraph(keep_set, edges, profiles)
+        return SocialGraph(keep_ids, np.column_stack((rows[inside], cols[inside])), profiles)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
         return (
-            self._nodes == other._nodes
-            and self._edges == other._edges
+            np.array_equal(self._ids, other._ids)
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
             and self._profiles == other._profiles
         )
 
@@ -215,6 +242,31 @@ class SocialGraph:
 
     def __repr__(self) -> str:
         return f"SocialGraph(n={self.num_nodes}, m={self.num_edges})"
+
+
+_ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
+
+
+def _too_wide(ids: Iterable) -> int | None:
+    """The first of ``ids`` that does not fit in int64, if any."""
+    return next((v for v in ids if not _ID_MIN <= v <= _ID_MAX), None)
+
+
+def _id_array(values, pairs: bool = False) -> np.ndarray:
+    """Node ids, or with ``pairs`` node-id pairs, as an int64 array of shape
+    (n,) or (m, 2). An ndarray is taken as given; a GraphError names an id
+    that does not fit in int64."""
+    if not isinstance(values, np.ndarray):
+        items = list(values)
+        try:
+            values = np.fromiter(chain.from_iterable(items) if pairs else items, dtype=np.int64)
+        except OverflowError:
+            wide = _too_wide(np.array(items, dtype=object).ravel())
+            raise GraphError(f"node id {wide} does not fit in int64") from None
+        if pairs and len(values) != 2 * len(items):
+            raise GraphError("an edge must be a pair of node ids")
+    values = values.astype(np.int64, copy=False)
+    return values.reshape(-1, 2) if pairs else values
 
 
 # -- profile (de)serialization ------------------------------------------------
@@ -325,30 +377,27 @@ def parse_edge_list(source: str | Path | bytes) -> SocialGraph:
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        header = line.lower().startswith("# nodes:")
+        if not line or (line.startswith("#") and not header):
             continue
-        if line.startswith("#"):
-            if line.lower().startswith("# nodes:"):
-                body = line.split(":", 1)[1]
-                try:
-                    nodes.update(int(tok) for tok in body.split())
-                except ValueError:
-                    raise GraphParseError(name, line_no, "bad node id in header")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        tokens = line.split(":", 1)[1].split() if header else line.split()
+        if not header and len(tokens) != 2:
             raise GraphParseError(
-                name, line_no, f"expected two node ids, got {len(parts)} tokens"
+                name, line_no, f"expected two node ids, got {len(tokens)} tokens"
             )
         try:
-            u, v = int(parts[0]), int(parts[1])
+            ids = [int(tok) for tok in tokens]
         except ValueError:
-            raise GraphParseError(name, line_no, "node ids must be integers")
-        if u == v:
-            raise GraphParseError(name, line_no, f"self-loop at node {u}")
-        nodes.add(u)
-        nodes.add(v)
-        edges.append((u, v))
+            message = "bad node id in header" if header else "node ids must be integers"
+            raise GraphParseError(name, line_no, message)
+        if (wide := _too_wide(ids)) is not None:
+            raise GraphParseError(name, line_no, f"node id {wide} does not fit in int64")
+        if not header:
+            u, v = ids
+            if u == v:
+                raise GraphParseError(name, line_no, f"self-loop at node {u}")
+            edges.append((u, v))
+        nodes.update(ids)
     return SocialGraph(nodes, edges)
 
 
@@ -367,11 +416,7 @@ def load_graph(
     g = load_edge_list(edge_path)
     if profile_path is None:
         return g
-    profiles = load_profiles(profile_path)
-    dangling = sorted(set(profiles) - set(g.nodes))
-    if dangling:
-        raise GraphError(f"profiles reference nodes absent from the graph: {dangling}")
-    return g.with_profiles(profiles)
+    return g.with_profiles(load_profiles(profile_path))
 
 
 def edge_list_bytes(g: SocialGraph) -> bytes:

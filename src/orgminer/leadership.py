@@ -163,17 +163,30 @@ def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> np.ndarray
     return fold_of
 
 
+def _ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``, ties given the mean of their ranks; all NaN
+    when any score is NaN. The same floats as ``scipy.stats.rankdata``,
+    without importing scipy.stats."""
+    if np.isnan(s).any():
+        return np.full(s.shape[0], np.nan)
+    order = np.argsort(s, kind="mergesort")
+    sv = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    ends = np.append(starts[1:], s.shape[0])
+    ranks = np.empty(s.shape[0])
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_rank_statistic(scores: Sequence[float], labels: Sequence[int]) -> float:
     """AUC as the tie-corrected Mann-Whitney statistic on average ranks."""
-    from scipy.stats import rankdata  # deferred: scipy.stats is slow to import
-
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     positives = int(y.sum())
     negatives = y.shape[0] - positives
     if positives == 0 or negatives == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(s)
+    ranks = _ranks(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
 

@@ -24,7 +24,7 @@ from typing import Mapping, Protocol
 import numpy as np
 
 from .graph import LabelRow, Profile, SocialGraph
-from .utils import apportion, gc_paused, stable_json
+from .utils import apportion, gc_paused, sorted_unique, stable_json
 
 
 class WorldSpecError(ValueError):
@@ -250,10 +250,10 @@ class FetchSource(Protocol):
 class InMemorySource:
     """Serves a fixed graph; deterministic, with a thread-safe fetch counter.
 
-    A friend list is an immutable sorted tuple, sorted on the node's first
-    fetch and kept in ``friends``, a cache that every source of one world
-    shares (``World.fresh_source``), so each list is sorted once per world
-    and repeat fetches return the same tuple. Each source counts its own
+    A friend list is an immutable tuple in ascending id order, read from the
+    graph's row on the node's first fetch and kept in ``friends``, a cache
+    that every source of one world shares (``World.fresh_source``), so
+    repeat fetches return the same tuple. Each source counts its own
     fetches.
     """
 
@@ -282,12 +282,12 @@ class InMemorySource:
             self._count += 1
         friends = self._friends.get(node)
         if friends is None:
-            if not self._graph.has_node(node):
-                raise UnknownProfileError(node)
-            # setdefault: of two threads sorting one list, both keep the first
-            friends = self._friends.setdefault(
-                node, tuple(sorted(self._graph.neighbors(node)))
-            )
+            try:
+                row = self._graph.sorted_neighbors(node)
+            except KeyError:
+                raise UnknownProfileError(node) from None
+            # setdefault: of two threads reading one row, both keep the first
+            friends = self._friends.setdefault(node, row)
         profile = self._graph.profile(node)
         if profile is None:
             profile = Profile(node=node)
@@ -344,15 +344,8 @@ def _distinct_indices(rng: np.random.Generator, total: int, m: int) -> np.ndarra
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < m:
         draw = rng.integers(0, total, size=m - len(chosen))
-        chosen = _sorted_unique(np.concatenate((chosen, draw)))
+        chosen = sorted_unique(np.concatenate((chosen, draw)))
     return chosen
-
-
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int array by one sort: several times faster than
-    the hashing ``np.unique`` of numpy 2.3 and later."""
-    x = np.sort(x)
-    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
 def _edge_count(rng: np.random.Generator, total: int, p: float) -> int:
@@ -401,7 +394,7 @@ def generate_world(spec: WorldSpec) -> World:
     with gc_paused():
         rng = np.random.default_rng(spec.rng_seed)
         n = spec.total_population
-        ids = list(range(n))  # one int per node, shared by every edge tuple
+        ids = list(range(n))  # one int object per node, shared by the per-node dicts
 
         # Membership is uncorrelated with node id: carve orgs from a permutation.
         order = rng.permutation(n)
@@ -556,10 +549,9 @@ def generate_world(spec: WorldSpec) -> World:
                 discloses_position=discloses,
             )
 
-        keys = _sorted_unique(np.minimum(eu, ev) * n + np.maximum(eu, ev))
-        edges = list(zip(map(ids.__getitem__, (keys // n).tolist()),
-                         map(ids.__getitem__, (keys % n).tolist())))
-        graph = SocialGraph(ids, edges, profiles)
+        keys = sorted_unique(np.minimum(eu, ev) * n + np.maximum(eu, ev))
+        lo, hi = keys // n, keys % n
+        graph = SocialGraph(np.arange(n), np.column_stack((lo, hi)), profiles)
         truth = WorldTruth(
             org_keywords=tuple(o.name_keywords for o in spec.orgs),
             members=tuple(tuple(ms.tolist()) for ms in org_members),
@@ -571,16 +563,16 @@ def generate_world(spec: WorldSpec) -> World:
             locations=locations,
             disclosure=disclosure,
         )
-        fingerprint = _world_fingerprint(spec, n, edges)
+        fingerprint = _world_fingerprint(spec, n, lo, hi)
         return World(spec, graph, truth, InMemorySource(graph, fingerprint))
 
 
-def _world_fingerprint(spec: WorldSpec, n: int, edges: list[tuple[int, int]]) -> str:
-    """Short digest of the spec and the sorted edge list."""
+def _world_fingerprint(spec: WorldSpec, n: int, lo: np.ndarray, hi: np.ndarray) -> str:
+    """Short digest of the spec and the sorted edge list ``lo[i]``–``hi[i]``."""
     h = hashlib.sha256()
     h.update(stable_json(spec.to_dict()).encode("utf-8"))
-    h.update(f"|n={n}|m={len(edges)}".encode("utf-8"))
-    h.update("".join(f"{u},{v};" for u, v in edges).encode("utf-8"))
+    h.update(f"|n={n}|m={len(lo)}".encode("utf-8"))
+    h.update("".join(map("{},{};".format, lo.tolist(), hi.tolist())).encode("utf-8"))
     return h.hexdigest()[:16]
 
 

@@ -1,5 +1,6 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-apportionment, and a cyclic-GC pause for bulk builds."""
+apportionment, a sorted unique of int arrays, and a cyclic-GC pause for
+bulk builds."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import math
 import os
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -40,7 +43,7 @@ class gc_paused:
     """Context manager that holds off cyclic garbage collection in its block.
 
     For builders of many acyclic containers at once (a decoded JSON
-    payload, a graph's adjacency sets): each full collection walks every
+    payload, a world's per-node dicts): each full collection walks every
     tracked object in the process, and such a build would otherwise
     trigger several. Reference counting still frees everything. At exit,
     exceptions included, GC is turned back on only if this block turned
@@ -89,3 +92,10 @@ def apportion(total: int, weights: Sequence[float]) -> list[int]:
     for i in by_remainder[:shortfall]:
         parts[i] += 1
     return parts
+
+
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array by one sort: several times faster than
+    the hashing ``np.unique`` of numpy 2.3 and later."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))

@@ -40,6 +40,22 @@ def test_construct_rejects_self_loop_and_dangling_edge():
         SocialGraph([0, 1], [(0, 2)])
 
 
+def test_construct_accepts_negative_ids():
+    g = SocialGraph([-3, 0, 2**63 - 1, -(2**63)], [(0, -3), (2**63 - 1, -(2**63))])
+    assert g.nodes == (-(2**63), -3, 0, 2**63 - 1)
+    assert g.edges() == [(-(2**63), 2**63 - 1), (-3, 0)]
+
+
+def test_construct_names_an_id_that_does_not_fit_int64():
+    with pytest.raises(GraphError, match=f"node id {2**63} does not fit in int64"):
+        SocialGraph([0, 2**63], [])
+    with pytest.raises(GraphError, match=f"node id {-(2**63) - 1} does not fit in int64"):
+        SocialGraph([0, 1], [(0, 1), (1, -(2**63) - 1)])
+    with pytest.raises(GraphError, match=f"node id {2**70} does not fit in int64"):
+        SocialGraph([0, 1], [], {2**70: Profile(node=2**70)})
+    assert not SocialGraph([0], []).has_node(2**70)
+
+
 def test_profile_invariants():
     with pytest.raises(GraphError):
         Profile(node=0, discloses_position=True)  # no position to disclose
@@ -81,6 +97,14 @@ def test_parse_node_header_keeps_isolated_node():
 def test_parse_rejects_self_loop_with_line_number():
     with pytest.raises(GraphParseError) as exc:
         parse_edge_list(b"0 1\n1 1\n")
+    assert exc.value.line_no == 2
+
+
+def test_parse_names_an_id_that_does_not_fit_int64_with_its_line():
+    with pytest.raises(GraphParseError, match=f":3: node id {2**64} does not fit in int64"):
+        parse_edge_list(f"0 1\n# nodes: 5\n1 {2**64}\n".encode())
+    with pytest.raises(GraphParseError, match=f":2: node id {-(2**63) - 1}") as exc:
+        parse_edge_list(f"0 1\n# nodes: 5 {-(2**63) - 1}\n".encode())
     assert exc.value.line_no == 2
 
 

@@ -3,25 +3,29 @@
 The references are the earlier implementations: trees grown node by node
 on a materialized bootstrap with one sort per candidate feature, a full
 lexsort for the nearest neighbours, a greedy-modularity heap that holds
-every adjacent pair, and the world generator's scalar pair decoder and
-rejection sampler. The kernels must give the same bits.
+every adjacent pair, the world generator's scalar pair decoder and
+rejection sampler, and a social graph of per-node adjacency sets and an
+edge-tuple set. The kernels must give the same bits.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from orgminer import classifiers
+from orgminer import GraphError, SocialGraph, classifiers
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
 from orgminer.community import MergeStep, detect_communities
 from orgminer.synthworld import _distinct_indices, _pairs_from_indices, generate_world
 
 from conftest import random_graph, small_graphs, two_community_spec
+from test_synthworld import PINNED_WORLDS
 
 # -- reference tree ensembles ------------------------------------------------------
 
@@ -205,6 +209,40 @@ def ref_distinct_indices(rng: np.random.Generator, total: int, m: int) -> np.nda
     return out
 
 
+# -- reference social graph ------------------------------------------------------------
+
+
+class RefGraph:
+    """The set-based graph build: one adjacency set per node, one canonical
+    tuple per edge, checked edge by edge in input order."""
+
+    def __init__(self, nodes, edges):
+        node_set = {int(v) for v in nodes}
+        adj: dict[int, set[int]] = {v: set() for v in node_set}
+        edge_set: set[tuple[int, int]] = set()
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise GraphError(f"self-loop at node {u}")
+            if u not in adj or v not in adj:
+                raise GraphError(f"edge ({u}, {v}) references an unknown node")
+            edge_set.add((u, v) if u < v else (v, u))
+            adj[u].add(v)
+            adj[v].add(u)
+        self.nodes = tuple(sorted(node_set))
+        self.adj = {v: frozenset(adj[v]) for v in self.nodes}
+        self.edges = sorted(edge_set)
+
+    def adjacency_matrix(self) -> sp.csr_array:
+        index = {v: i for i, v in enumerate(self.nodes)}
+        rows, cols = [], []
+        for u, v in self.edges:
+            rows += [index[u], index[v]]
+            cols += [index[v], index[u]]
+        n = len(self.nodes)
+        return sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
 # -- data ------------------------------------------------------------------------------
 
 # few distinct values, so rows and values repeat
@@ -339,3 +377,78 @@ def test_greedy_merges_match_reference_on_acceptance_worlds():
             world = generate_world(two_community_spec(seed, disclosure=disclosure))
             sub = world.graph.subgraph(sorted(world.truth.all_members()))
             assert detect_communities(sub).merges == ref_merges(sub)
+
+
+# -- social graph ------------------------------------------------------------------------
+
+
+@st.composite
+def edge_lists(draw):
+    """Node ids (negative ones too) and edges between them, with duplicates
+    in both orientations; sometimes a self-loop or an unknown endpoint
+    spliced in; as Python ints, numpy ints or one ndarray."""
+    nodes = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=14, unique=True))
+    known = st.sampled_from(nodes)
+    edges = draw(st.lists(st.tuples(known, known).filter(lambda e: e[0] != e[1]), max_size=30))
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=5))]
+    unknown = st.integers(-40, 40).filter(lambda x: x not in nodes)
+    loop = lambda v: (v, v)  # noqa: E731
+    bad = st.one_of(known.map(loop), unknown.map(loop),
+                    st.tuples(known, unknown), st.tuples(unknown, known))
+    for at, e in draw(st.lists(st.tuples(st.integers(0, len(edges)), bad), max_size=2)):
+        edges.insert(at, e)
+    form = draw(st.sampled_from(("python", "numpy", "ndarray")))
+    if form == "numpy":
+        edges = [(np.int64(u), np.int32(v)) for u, v in edges]
+    elif form == "ndarray":
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return nodes + nodes[:2], edges  # repeated node ids collapse too
+
+
+@given(edge_lists())
+@settings(max_examples=200)
+def test_graph_matches_set_based_reference(data):
+    nodes, edges = data
+    try:
+        ref = RefGraph(nodes, edges)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            SocialGraph(nodes, edges)
+        assert str(got.value) == str(exc)
+        return
+    g = SocialGraph(nodes, edges)
+    assert g.nodes == ref.nodes
+    assert g.edges() == ref.edges
+    assert g.num_edges == len(ref.edges)
+    assert all(g.neighbors(v) == ref.adj[v] for v in ref.nodes)
+    assert all(g.sorted_neighbors(v) == tuple(sorted(ref.adj[v])) for v in ref.nodes)
+    assert g.degree_sequence() == tuple(len(ref.adj[v]) for v in ref.nodes)
+    probe = range(min(ref.nodes) - 1, max(ref.nodes) + 2)
+    assert all(g.has_edge(u, v) == (v in ref.adj.get(u, ())) for u in probe for v in probe)
+    got, want = g.adjacency_matrix(), ref.adjacency_matrix()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+    keep = ref.nodes[::2]
+    sub = g.subgraph(keep)
+    assert sub == SocialGraph(keep, [(u, v) for u, v in ref.edges if u in keep and v in keep])
+
+
+def test_crawl_sized_world_graph_holds_under_half_the_set_based_memory():
+    # The 20,000-node world of the crawl benchmark, seed 1 (86,902 edges).
+    # Built from these inputs, the set-based graph held 23.3 MB: a frozenset
+    # per node, a tuple per edge and a set of them, a node index and the
+    # profile map. The CSR graph holds about 3 MB.
+    world = generate_world(PINNED_WORLDS["crawl-20k"][0])
+    nodes, edges, profiles = world.graph.nodes, world.graph.edges(), world.graph.profiles
+    assert len(edges) == 86902
+    del world
+    tracemalloc.start()
+    try:
+        g = SocialGraph(nodes, edges, profiles)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == len(edges)
+    assert live < 23.3e6 / 2

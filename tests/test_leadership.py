@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orgminer import (
     CentralityConfig,
@@ -20,6 +28,7 @@ from orgminer import (
 )
 from orgminer.bruteforce import auc_trapezoid
 from orgminer.leadership import (
+    _ranks,
     accuracy_percent,
     classifier_table_bytes,
     f_measure,
@@ -28,7 +37,7 @@ from orgminer.leadership import (
     precision_table_bytes,
 )
 
-from conftest import leadership_world_spec, random_graph, star_graph
+from conftest import leadership_world_spec, random_graph, star_graph, two_community_spec
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +136,41 @@ def test_auc_rank_statistic_hand_values():
 def test_auc_degenerate_labels():
     with pytest.raises(ValueError):
         auc_rank_statistic([1, 2], [1, 1])
+
+
+# a few distinct values, so most arrays tie heavily
+_TIE_VALUES = st.sampled_from(
+    (0.0, -0.0, 1.0, 1.0 + 2**-52, -2.5, 1e300, np.inf, -np.inf, np.nan, 7.0)
+)
+
+
+@given(arrays(np.float64, st.integers(0, 40), elements=_TIE_VALUES))
+@settings(max_examples=300)
+def test_ranks_match_scipy_rankdata(s):
+    assert np.array_equal(_ranks(s), scipy.stats.rankdata(s), equal_nan=True)
+
+
+@given(arrays(np.float64, st.integers(1, 60), elements=st.floats(-3, 3, width=16)))
+def test_ranks_match_scipy_rankdata_on_rounded_floats(s):
+    assert np.array_equal(_ranks(s), scipy.stats.rankdata(s))
+
+
+def test_pipeline_runs_without_importing_scipy_stats(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(two_community_spec(3).to_dict()), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = f"PipelineConfig(out_dir={str(tmp_path / 'out')!r}, world_spec={str(spec)!r})"
+    script = (
+        "import sys\n"
+        "from orgminer import PipelineConfig, run_pipeline\n"
+        f"run_pipeline({cfg})\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 @given(st.integers(min_value=0, max_value=10_000))
