@@ -18,10 +18,12 @@ and never raises it, so the same frontier pops in first-enqueue order.
 Widths above 1 fetch a batch in parallel and apply it in pop order, so
 every crawl is deterministic.
 
-Encoding and decoding a crawl state run with cyclic GC paused
-(``utils.gc_paused``): the payload is tens of thousands of acyclic lists
-and dicts, and without the pause a checkpoint or resume pays for full
-collections over every object of the world being crawled.
+A state's config decodes as strictly as it was written: an unknown key or
+a value of the wrong JSON type is a ``StateError``. Encoding and decoding
+a crawl state run with cyclic GC paused (``utils.gc_paused``): the
+payload is tens of thousands of acyclic lists and dicts, and without the
+pause a checkpoint or resume pays for full collections over every object
+of the world being crawled.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
-from .utils import gc_paused, stable_json, write_bytes_atomic
+from .utils import decode_dataclass, gc_paused, stable_json, write_bytes_atomic
 
 STATE_FORMAT_VERSION = 1
 
@@ -102,27 +104,12 @@ class CrawlConfig:
             raise CrawlError("concurrency_width must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "keywords": list(self.keywords),
-            "version": self.version,
-            "window_size": self.window_size,
-            "max_fetches": self.max_fetches,
-            "concurrency_width": self.concurrency_width,
-            "seed_priority": self.seed_priority,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CrawlConfig":
-        return cls(
-            seeds=tuple(int(v) for v in d["seeds"]),
-            keywords=tuple(d["keywords"]),
-            version=d.get("version", "v1"),
-            window_size=int(d.get("window_size", 1000)),
-            max_fetches=d.get("max_fetches"),
-            concurrency_width=int(d.get("concurrency_width", 1)),
-            seed_priority=int(d.get("seed_priority", 1)),
-        )
+    def from_dict(cls, d: Mapping) -> "CrawlConfig":
+        """Strict decode by ``utils.decode_dataclass``; errors: StateError."""
+        return decode_dataclass(cls, d, StateError, "crawl config")
 
 
 _BITS = 48  # seqs and node ids lie in [0, 2**48)

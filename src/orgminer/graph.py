@@ -271,18 +271,6 @@ def _id_array(values, pairs: bool = False) -> np.ndarray:
 
 # -- profile (de)serialization ------------------------------------------------
 
-_PROFILE_FIELDS = (
-    "node",
-    "name",
-    "employers",
-    "position",
-    "location",
-    "is_org_member",
-    "is_manager",
-    "discloses_position",
-)
-
-
 def profile_to_dict(p: Profile) -> dict:
     out: dict = {"node": p.node}
     if p.name is not None:
@@ -303,7 +291,7 @@ def profile_to_dict(p: Profile) -> dict:
 
 
 def profile_from_dict(d: Mapping) -> Profile:
-    unknown = set(d) - set(_PROFILE_FIELDS)
+    unknown = set(d) - set(Profile.__dataclass_fields__)
     unknown = {k for k in unknown if not k.startswith("_")}
     if unknown:
         raise GraphError(f"unknown profile fields {sorted(unknown)}")
@@ -584,6 +572,21 @@ _GRAPHML_ATTRS = (
     ("discloses_position", "boolean"),
     ("community", "string"),
 )
+_GRAPHML_KINDS = dict(_GRAPHML_ATTRS)
+
+
+def _graphml_text(value) -> str:
+    """A ``profile_to_dict`` value as GraphML data text."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return json.dumps(value) if isinstance(value, list) else value
+
+
+def _graphml_value(attr: str, text: str):
+    """GraphML data text of ``attr`` as its ``profile_from_dict`` value."""
+    if _GRAPHML_KINDS[attr] == "boolean":
+        return text == "true"
+    return json.loads(text) if attr == "employers" else text
 
 
 def _graphml_bytes(g: SocialGraph, communities) -> bytes:
@@ -592,23 +595,12 @@ def _graphml_bytes(g: SocialGraph, communities) -> bytes:
     used: dict[str, str] = {}
 
     def node_values(v: int) -> dict[str, str]:
-        vals: dict[str, str] = {}
         p = g.profile(v)
-        if p is not None:
-            if p.name is not None:
-                vals["name"] = p.name
-            if p.employers:
-                vals["employers"] = json.dumps(list(p.employers))
-            if p.position is not None:
-                vals["position"] = p.position
-            if p.location is not None:
-                vals["location"] = p.location
-            if p.is_org_member is not None:
-                vals["is_org_member"] = "true" if p.is_org_member else "false"
-            if p.is_manager is not None:
-                vals["is_manager"] = "true" if p.is_manager else "false"
-            if p.discloses_position:
-                vals["discloses_position"] = "true"
+        vals = {} if p is None else {
+            attr: _graphml_text(value)
+            for attr, value in profile_to_dict(p).items()
+            if attr != "node"
+        }
         if communities is not None and v in communities:
             vals["community"] = str(communities[v])
         return vals
@@ -645,7 +637,7 @@ def _graphml_bytes(g: SocialGraph, communities) -> bytes:
 
 
 def load_graphml(source: str | Path | bytes) -> SocialGraph:
-    """Parse GraphML produced by :func:`export_graph` (community attr ignored)."""
+    """Parse GraphML from :func:`export_graph`; non-profile attributes are ignored."""
     name, text = _read_text(source)
     try:
         root = ET.fromstring(text)
@@ -675,22 +667,8 @@ def load_graphml(source: str | Path | bytes) -> SocialGraph:
         vals.pop("community", None)
         if not vals:
             continue
-        employers: tuple[str, ...] = ()
-        if "employers" in vals:
-            employers = tuple(json.loads(vals["employers"]))
-        to_bool = lambda s: s == "true"  # noqa: E731
-        profiles[v] = Profile(
-            node=v,
-            name=vals.get("name"),
-            employers=employers,
-            position=vals.get("position"),
-            location=vals.get("location"),
-            is_org_member=(
-                to_bool(vals["is_org_member"]) if "is_org_member" in vals else None
-            ),
-            is_manager=to_bool(vals["is_manager"]) if "is_manager" in vals else None,
-            discloses_position=to_bool(vals.get("discloses_position", "false")),
-        )
+        record = {a: _graphml_value(a, t) for a, t in vals.items() if a in _GRAPHML_KINDS}
+        profiles[v] = profile_from_dict({**record, "node": v})
     return SocialGraph(nodes, edges, profiles)
 
 

@@ -14,13 +14,14 @@ artifact directory:
     report.txt
     manifest.json
 
-All randomness fans out from one master seed by hashing stage names, so
-a config plus a seed reproduces every byte.  Artifacts never embed the
-output directory or wall-clock time; rerunning the same config into a
-different directory yields identical files.  Text artifacts carry the
-config hash in a trailing comment, JSON ones in a `_config_hash` key,
-and the manifest records a sha256 per artifact, so any tampering is
-detectable from the manifest alone.
+A JSON config with an unknown or missing key or a mistyped value is a
+ConfigError.  All randomness fans out from one master seed by hashing
+stage names, so a config plus a seed reproduces every byte.  Artifacts
+never embed the output directory or wall-clock time; rerunning the same
+config into a different directory yields identical files.  Text
+artifacts carry the config hash in a trailing comment, JSON ones in a
+`_config_hash` key, and the manifest records a sha256 per artifact, so
+any tampering is detectable from the manifest alone.
 
 Each stage's files come from one function here, which the matching CLI
 subcommand calls without the hash: it writes the bytes of its stage.
@@ -33,8 +34,7 @@ import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import UnionType
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -72,7 +72,13 @@ from .leadership import (
     precision_table_bytes,
 )
 from .synthworld import World, WorldSpec, generate_world
-from .utils import content_hash, derive_seed, stable_json, write_bytes_atomic
+from .utils import (
+    content_hash,
+    decode_dataclass,
+    derive_seed,
+    stable_json,
+    write_bytes_atomic,
+)
 
 _EXPORT_EXTENSIONS = {
     "edge-list": "txt",
@@ -153,14 +159,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PipelineConfig":
-        """Build a config from JSON-shaped data; a section that is not an
-        object, an unknown key or a value of the wrong type: ConfigError."""
-        data = dict(_section(d, "pipeline"))
-        for key, settings in (("crawl", CrawlSettings), ("analysis", AnalysisSettings)):
-            data[key] = _from_dict(settings, data.get(key, {}), key)
-        if "out_dir" not in data:
-            raise ConfigError("out_dir is required")
-        return _from_dict(cls, data, "pipeline")
+        """Strict decode by ``utils.decode_dataclass``; errors: ConfigError."""
+        return decode_dataclass(cls, d, ConfigError, "pipeline")
 
     def config_hash(self) -> str:
         # out_dir excluded so identical runs into different directories
@@ -168,41 +168,6 @@ class PipelineConfig:
         d = self.to_dict()
         del d["out_dir"]
         return content_hash(stable_json(d).encode("utf-8"))
-
-
-def _section(d, what: str) -> Mapping:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"{what} settings must be an object, got {d!r}")
-    return d
-
-
-def _from_dict(cls, d: Mapping, what: str):
-    unknown = set(_section(d, what)) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    values = dict(d)
-    for name, value in d.items():
-        hint = hints[name]
-        if not _has_type(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else hint
-            raise ConfigError(f"{what} setting {name!r} must be {expected}, got {value!r}")
-        if isinstance(value, int) and float in (hint, *get_args(hint)):
-            values[name] = float(value)  # 0 and 0.0 make one config, one hash
-    return cls(**values)
-
-
-def _has_type(value, hint) -> bool:
-    """JSON-shaped check of ``value`` against a settings annotation: lists
-    stand for tuples, ints for floats, and a bool is not a number."""
-    args = get_args(hint)
-    if isinstance(hint, UnionType):
-        return any(_has_type(value, h) for h in args)
-    if get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    return isinstance(value, hint)
 
 
 def import_dataset(

@@ -8,7 +8,8 @@ contains one of the org's name keywords, so a keyword-matching crawler
 can confirm membership; position and location text appear only on
 profiles that disclose them.
 
-The same spec and seed always produce a bit-identical world.
+The same spec and seed always produce a bit-identical world. A JSON spec
+with an unknown or missing key or a mistyped value is a WorldSpecError.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Protocol
 
 import numpy as np
 
 from .graph import LabelRow, Profile, SocialGraph
-from .utils import apportion, gc_paused, sorted_unique, stable_json
+from .utils import apportion, decode_dataclass, gc_paused, sorted_unique, stable_json
 
 
 class WorldSpecError(ValueError):
@@ -115,31 +116,11 @@ class OrgSpec:
             raise WorldSpecError("location_labels must be non-empty")
 
     def to_dict(self) -> dict:
-        return {
-            "name_keywords": list(self.name_keywords),
-            "size": self.size,
-            "community_count": self.community_count,
-            "intra_community_edge_prob": self.intra_community_edge_prob,
-            "inter_community_edge_prob": self.inter_community_edge_prob,
-            "manager_fraction": self.manager_fraction,
-            "manager_degree_boost": self.manager_degree_boost,
-            "position_disclosure_rate": self.position_disclosure_rate,
-            "location_labels": list(self.location_labels),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "OrgSpec":
-        return cls(
-            name_keywords=tuple(d["name_keywords"]),
-            size=int(d["size"]),
-            community_count=int(d.get("community_count", 1)),
-            intra_community_edge_prob=d.get("intra_community_edge_prob", 0.1),
-            inter_community_edge_prob=d.get("inter_community_edge_prob", 0.0),
-            manager_fraction=d.get("manager_fraction", 0.0),
-            manager_degree_boost=d.get("manager_degree_boost", 1.0),
-            position_disclosure_rate=d.get("position_disclosure_rate", 1.0),
-            location_labels=tuple(d.get("location_labels", ("HQ",))),
-        )
+        return decode_dataclass(cls, d, WorldSpecError, "org")
 
 
 @dataclass(frozen=True)
@@ -167,23 +148,12 @@ class WorldSpec:
                 raise WorldSpecError(f"{prob_name} must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "total_population": self.total_population,
-            "orgs": [o.to_dict() for o in self.orgs],
-            "background_edge_prob": self.background_edge_prob,
-            "cross_boundary_edge_prob": self.cross_boundary_edge_prob,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "WorldSpec":
-        return cls(
-            total_population=int(d["total_population"]),
-            orgs=tuple(OrgSpec.from_dict(o) for o in d["orgs"]),
-            background_edge_prob=d.get("background_edge_prob", 0.0),
-            cross_boundary_edge_prob=d.get("cross_boundary_edge_prob", 0.0),
-            rng_seed=int(d.get("rng_seed", 0)),
-        )
+        """Strict decode by ``utils.decode_dataclass``; errors: WorldSpecError."""
+        return decode_dataclass(cls, d, WorldSpecError, "world spec")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "WorldSpec":
@@ -598,30 +568,26 @@ class CensusReport:
 
 
 def disclosure_census(world: World) -> CensusReport:
-    """Discovered members, within-org links, and disclosure counts per org."""
-    rows = []
-    total_members = total_links = total_disclosing = 0
-    for oi, member_ids in enumerate(world.truth.members):
-        member_set = set(member_ids)
-        links = sum(
-            1 for u, v in world.graph.edges() if u in member_set and v in member_set
+    """Discovered members, within-org links, and disclosure counts per org,
+    from one pass over the edges."""
+    truth = world.truth
+    links = [0] * len(truth.members)
+    for u, v in world.graph.edges():
+        if (oi := truth.node_org[u]) is not None and oi == truth.node_org[v]:
+            links[oi] += 1
+    rows = tuple(
+        CensusRow(
+            org=keywords[0],
+            members=len(member_ids),
+            links=org_links,
+            disclosing=sum(1 for v in member_ids if truth.disclosure.get(v, False)),
         )
-        disclosing = sum(1 for v in member_ids if world.truth.disclosure.get(v, False))
-        rows.append(
-            CensusRow(
-                org=world.truth.org_keywords[oi][0],
-                members=len(member_ids),
-                links=links,
-                disclosing=disclosing,
-            )
-        )
-        total_members += len(member_ids)
-        total_links += links
-        total_disclosing += disclosing
+        for keywords, member_ids, org_links in zip(truth.org_keywords, truth.members, links)
+    )
     total = CensusRow(
         org="TOTAL",
-        members=total_members,
-        links=total_links,
-        disclosing=total_disclosing,
+        members=sum(r.members for r in rows),
+        links=sum(r.links for r in rows),
+        disclosing=sum(r.disclosing for r in rows),
     )
-    return CensusReport(rows=tuple(rows), total=total)
+    return CensusReport(rows=rows, total=total)

@@ -1,6 +1,6 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-apportionment, a sorted unique of int arrays, and a cyclic-GC pause for
-bulk builds."""
+the typed decoder of settings dataclasses, apportionment, a sorted unique
+of int arrays, and a cyclic-GC pause for bulk builds."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import MISSING, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +39,55 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def decode_dataclass(cls, data, error: type[Exception], what: str):
+    """Build dataclass ``cls`` from JSON-shaped ``data`` checked against its
+    type hints: objects stand for nested dataclasses, lists for tuples, ints
+    for floats, and a bool is not a number. A non-object, an unknown or
+    missing field or a value of the wrong type raises ``error`` naming
+    ``what``. ``dataclasses.asdict`` is the inverse."""
+    if not isinstance(data, Mapping):
+        raise error(f"{what} settings must be an object, got {data!r}")
+    known = cls.__dataclass_fields__
+    unknown = set(data) - set(known)
+    if unknown:
+        raise error(f"unknown {what} settings: {sorted(unknown)}")
+    missing = [
+        name for name, f in known.items()
+        if name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise error(f"missing {what} settings: {missing}")
+    hints = get_type_hints(cls)
+    values = dict(data)
+    for name, value in data.items():
+        hint = hints[name]
+        item = get_args(hint)[0] if get_origin(hint) is tuple else None
+        if is_dataclass(hint):
+            values[name] = decode_dataclass(hint, value, error, name)
+        elif is_dataclass(item) and isinstance(value, (list, tuple)):
+            values[name] = tuple(
+                decode_dataclass(item, v, error, f"{name}[{i}]") for i, v in enumerate(value)
+            )
+        elif not _has_type(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{what} setting {name!r} must be {expected}, got {value!r}")
+        elif isinstance(value, int) and float in (hint, *get_args(hint)):
+            values[name] = float(value)  # 0 and 0.0 make one value, one hash
+    return cls(**values)
+
+
+def _has_type(value, hint) -> bool:
+    """JSON-shaped check of ``value`` against a settings annotation."""
+    args = get_args(hint)
+    if isinstance(hint, UnionType):
+        return any(_has_type(value, h) for h in args)
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 class gc_paused:

@@ -26,6 +26,7 @@ from orgminer import (
 from orgminer.crawler import CrawlState, Frontier, _normalize
 from orgminer.synthworld import InMemorySource
 from orgminer.graph import GraphError, SocialGraph
+from orgminer.utils import stable_json
 
 from conftest import crawl_world_spec, write_half_then_fail
 
@@ -700,6 +701,32 @@ def test_corrupt_state_file_rejected(tmp_path):
     path.write_bytes(b'{"format_version": 99}')
     with pytest.raises(StateError):
         resume(path, world.fresh_source())
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seeds": "12"}, "crawl config setting 'seeds' must be tuple[int, ...], got '12'"),
+    ({"speed": 3}, "unknown crawl config settings: ['speed']"),
+])
+def test_resume_rejects_a_malformed_config(tmp_path, config, message):
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    src = world.fresh_source()
+    part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
+    payload = json.loads(part.state.to_json_bytes())
+    payload["config"].update(config)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError, match=re.escape(message)):
+        resume(path, src)
+
+
+def test_crawl_config_keeps_its_saved_form():
+    # the config object of every crawl state file written so far
+    saved = ('{"concurrency_width":1,"keywords":["acme"],"max_fetches":null,'
+             '"seed_priority":1,"seeds":[5,2],"version":"v2","window_size":40}')
+    cfg = CrawlConfig(seeds=(5, 2), keywords=("acme",), version="v2", window_size=40)
+    assert stable_json(cfg.to_dict()) == saved
+    assert CrawlConfig.from_dict(json.loads(saved)) == cfg
 
 
 # -- cyclic GC pause ------------------------------------------------------------

@@ -250,6 +250,30 @@ def test_graphml_carries_attributes():
     assert back.profile(0).is_manager is True
 
 
+def test_graphml_round_trips_every_profile_field_and_ignores_other_attributes():
+    profiles = {
+        0: Profile(node=0, name="ann", employers=("acme", "globex"), position="vp",
+                   location="HQ", is_org_member=True, is_manager=True,
+                   discloses_position=True),
+        1: Profile(node=1, is_org_member=False),
+        2: Profile(node=2, employers=("a \"quoted\" firm",)),
+    }
+    g = SocialGraph(range(4), [(0, 1), (2, 3)], profiles)
+    data = export_graph(g, "graphml", communities={0: 5})
+    assert load_graphml(data) == g
+    # a foreign key (and one named like the node id) is read past, not applied
+    foreign = data.decode().replace(
+        "<node id=\"1\">",
+        "<node id=\"1\"><data key=\"dx\">9</data><data key=\"dn\">7</data>",
+    ).replace(
+        "<graph ",
+        "<key id=\"dx\" for=\"node\" attr.name=\"weight\" attr.type=\"string\" />"
+        "<key id=\"dn\" for=\"node\" attr.name=\"node\" attr.type=\"string\" /><graph ",
+    )
+    assert foreign.count('"dx"') == foreign.count('"dn"') == 2
+    assert load_graphml(foreign.encode()) == g
+
+
 def test_dot_and_csv_mention_communities():
     g = path_graph(3)
     dot = export_graph(g, "dot", communities={0: 1, 1: 1, 2: 2}).decode()

@@ -363,6 +363,56 @@ def test_cli_generate_honors_env_output_root(world_files, tmp_path, monkeypatch)
     assert (tmp_path / "census.csv").exists()
 
 
+_SPEC = {"total_population": 60, "orgs": [{"name_keywords": ["acme"], "size": 20}]}
+
+
+def _org_spec(**org) -> dict:
+    return {**_SPEC, "orgs": [{**_SPEC["orgs"][0], **org}]}
+
+
+MALFORMED_SPECS = {
+    "misspelled key": (
+        _org_spec(manager_fracton=0.2), "unknown orgs[0] settings: ['manager_fracton']"),
+    "orgs not a list": ({**_SPEC, "orgs": 5}, "world spec setting 'orgs' must be tuple["),
+    "keywords a string": (
+        _org_spec(name_keywords="acme"),
+        "orgs[0] setting 'name_keywords' must be tuple[str, ...], got 'acme'"),
+    "fractional size": (_org_spec(size=20.7), "orgs[0] setting 'size' must be int, got 20.7"),
+    "population a string": (
+        {**_SPEC, "total_population": "50"},
+        "world spec setting 'total_population' must be int, got '50'"),
+    "bool for an int": (
+        _org_spec(community_count=True),
+        "orgs[0] setting 'community_count' must be int, got True"),
+    "missing size": (
+        {**_SPEC, "orgs": [{"name_keywords": ["acme"]}]}, "missing orgs[0] settings: ['size']"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPECS)
+def test_cli_generate_rejects_a_malformed_world_spec(tmp_path, capsys, case):
+    spec, message = MALFORMED_SPECS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    rc = cli.main(["generate", "--spec", str(path), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPECS)
+def test_pipeline_reports_a_malformed_world_spec_from_generate(tmp_path, case):
+    spec, message = MALFORMED_SPECS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    cfg = PipelineConfig(out_dir=str(tmp_path / "out"), world_spec=str(path))
+    with pytest.raises(PipelineError, match="stage 'generate' failed") as info:
+        run_pipeline(cfg)
+    assert info.value.stage == "generate" and message in str(info.value)
+
+
 def test_cli_crawl_resume_matches_uninterrupted_run(world_files, tmp_path, capsys):
     """A budget-stopped crawl plus a resume lands on the uninterrupted result."""
     members = world_files["members"]

@@ -340,6 +340,27 @@ def test_census_full_disclosure():
     assert report.total.links == 45  # 10-clique
 
 
+def test_census_links_match_a_per_org_count():
+    spec = WorldSpec(
+        total_population=120,
+        orgs=(OrgSpec(("acme",), size=40, community_count=2, intra_community_edge_prob=0.3,
+                      inter_community_edge_prob=0.1),
+              OrgSpec(("globex",), size=30, intra_community_edge_prob=0.2)),
+        background_edge_prob=0.05,
+        cross_boundary_edge_prob=0.05,
+        rng_seed=3,
+    )
+    world = generate_world(spec)
+    edges = world.graph.edges()
+    expected = []
+    for members in map(set, world.truth.members):
+        expected.append(sum(1 for u, v in edges if u in members and v in members))
+    report = disclosure_census(world)
+    assert [(r.org, r.links) for r in report.rows] == list(zip(("acme", "globex"), expected))
+    assert report.total.links == sum(expected) < len(edges)
+    assert min(expected) > 0
+
+
 def test_census_partial_disclosure_within_3_sigma():
     n, rate = 200, 0.3
     counts = []
