@@ -16,7 +16,9 @@ Measures and conventions (n = node count, scores keyed by node id):
 * ``ec``  dominant adjacency eigenvector, nonnegative, unit Euclidean
   norm, power iteration from all-ones (same identity shift).
 * ``cc``  communicability (subgraph) centrality diag(expm(A)) via dense
-  symmetric eigendecomposition; isolated nodes score exactly 1.
+  symmetric eigendecomposition within a fixed memory budget (n <= 7327);
+  above it Lanczos quadrature if ``approximate`` is set, else a
+  ``CentralityError`` naming the bytes needed. Isolated nodes score 1.
 * ``lc``  load centrality: unit packets routed along shortest paths,
   splitting equally at each hop, summed over ordered pairs and
   normalized by (n-1)(n-2).
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .graph import GraphError, SocialGraph
@@ -44,6 +45,8 @@ MEASURES = ("dg", "cl", "bc", "hits", "pr", "ec", "cc", "lc")
 _DEFAULT_TOL = 1e-8
 _DEFAULT_MAX_ITER = 1000
 _BLOCK = 256
+_DENSE_BUDGET = 2**31  # bytes for communicability's dense path; n = 6000 needs 1.44e9
+_LANCZOS_STEPS = 100
 
 
 class CentralityError(GraphError):
@@ -63,7 +66,6 @@ class CentralityConfig:
     tol: float = _DEFAULT_TOL
     max_iter: int = _DEFAULT_MAX_ITER
     damping: float = 0.85
-    communicability_cap: int = 20000
     approximate_communicability: bool = False
 
 
@@ -97,56 +99,54 @@ def _shortest_path_sweep(g: SocialGraph) -> tuple[np.ndarray, np.ndarray, np.nda
         sources = np.arange(start, min(start + _BLOCK, n))
         B = len(sources)
         cols = np.arange(B)
-        dist = np.full((n, B), -1, dtype=np.int64)
-        dist[sources, cols] = 0
-        frontier = np.zeros((n, B), dtype=bool)
-        frontier[sources, cols] = True
-        sigma = np.zeros((n, B))
-        sigma[sources, cols] = 1.0
-        masks = [frontier]
-        # npreds[level]: how many neighbours each node has on level - 1, read
-        # on that level's mask; float32 holds these small counts exactly
-        npreds = [np.empty(0)]
+        seen = np.zeros((n, B), dtype=bool)
+        seen[sources, cols] = True
+        sigma = seen.astype(np.float64)
+        totals = np.zeros(B, dtype=np.int64)  # each source's distance sum
+        # npreds: how many neighbours each node has on the level before its
+        # own, written at that level; float32 holds these small counts exactly
+        npreds = np.zeros((n, B), dtype=np.float32)
+        coeff = np.empty((n, B))
+        masks = [seen.copy()]
+        frontier = masks[0]
         while True:
-            preds = A @ frontier.astype(np.float64)
-            new = (preds > 0) & (dist < 0)
+            np.copyto(coeff, frontier)
+            preds = A @ coeff
+            new = (preds > 0) & ~seen
             if not new.any():
                 break
-            dist[new] = len(masks)
-            paths = A @ np.where(frontier, sigma, 0.0)
-            np.copyto(sigma, paths, where=new)
+            totals += len(masks) * new.sum(axis=0)
+            seen |= new
+            np.copyto(npreds, preds, where=new)
+            coeff.fill(0.0)
+            np.copyto(coeff, sigma, where=frontier)
+            np.copyto(sigma, A @ coeff, where=new)
             masks.append(new)
-            npreds.append(preds.astype(np.float32))
             frontier = new
-        finite = dist >= 0
-        r = finite.sum(axis=0)  # includes the source itself
-        totals = np.where(finite, dist, 0).sum(axis=0)
+        reach = seen.sum(axis=0)  # includes the source itself
         with np.errstate(divide="ignore", invalid="ignore"):
             cl[sources] = np.where(
                 totals > 0,
-                ((r - 1) / (n - 1)) * ((r - 1) / np.where(totals > 0, totals, 1)),
+                ((reach - 1) / (n - 1)) * ((reach - 1) / np.where(totals > 0, totals, 1)),
                 0.0,
             )
 
         delta = np.zeros((n, B))
-        flow = np.where(dist > 0, 1.0, 0.0)  # one packet per reachable target
-        initial = flow.copy()
+        flow = (seen & ~masks[0]).astype(np.float64)  # one packet per reachable target
         for level in range(len(masks) - 1, 0, -1):
-            mask = masks[level]
-            prev = masks[level - 1]
-            coeff = np.zeros((n, B))
-            np.divide(1.0 + delta, sigma, out=coeff, where=mask)
-            contrib = A @ coeff
-            np.add(delta, contrib * sigma, out=delta, where=prev)
-            coeff = np.zeros((n, B))
-            np.divide(flow, npreds[level], out=coeff, where=mask)
-            contrib = A @ coeff
-            np.add(flow, contrib, out=flow, where=prev)
+            mask, prev = masks[level], masks[level - 1]
+            coeff.fill(0.0)
+            np.add(delta, 1.0, out=coeff, where=mask)
+            np.divide(coeff, sigma, out=coeff, where=mask)
+            np.add(delta, np.multiply(A @ coeff, sigma, out=coeff), out=delta, where=prev)
+            coeff.fill(0.0)
+            np.divide(flow, npreds, out=coeff, where=mask)
+            np.add(flow, A @ coeff, out=flow, where=prev)
         delta[sources, cols] = 0.0
         bc += delta.sum(axis=1)
-        through = flow - initial
-        through[sources, cols] = 0.0
-        lc += through.sum(axis=1)
+        flow -= seen  # what passed through, less the packet each target keeps
+        flow[sources, cols] = 0.0
+        lc += flow.sum(axis=1)
     if n < 3:
         return cl, np.zeros(n), np.zeros(n)
     bc /= 2.0  # each unordered pair was accumulated from both endpoints
@@ -285,68 +285,71 @@ def hits(
 
 
 def communicability_centrality(
-    g: SocialGraph,
-    cap: int = 20000,
-    approximate: bool = False,
-    tol: float = 1e-10,
+    g: SocialGraph, approximate: bool = False, tol: float = 1e-10
 ) -> dict[int, float]:
-    """diag(expm(A)) per node. Dense eigendecomposition up to ``cap`` nodes;
-    beyond that pass ``approximate=True`` for per-node Lanczos quadrature
-    (error bounded by the quadrature's convergence tolerance)."""
+    """diag(expm(A)) per node (Estrada & Rodriguez-Velazquez 2005), by dense
+    eigendecomposition while its working set fits ``_DENSE_BUDGET`` bytes.
+    Above the budget, ``approximate=True`` runs Lanczos quadrature
+    (Golub & Meurant) to ``tol`` relative; without it a ``CentralityError``
+    names the bytes needed before any n x n array exists. Isolated nodes
+    score exactly 1 either way."""
     n = g.num_nodes
-    if n == 0:
-        return {}
-    if n > cap:
+    # five n x n float64 arrays: A, LAPACK's copy, syevd's 2n^2 workspace and
+    # the eigenvectors (5.1 n^2 x 8 bytes of RSS measured at n=3000)
+    needed = 40 * n * n
+    if needed > _DENSE_BUDGET:
         if not approximate:
             raise CentralityError(
-                f"graph has {n} nodes, above the dense cap {cap}; "
-                "pass approximate=True to use Lanczos quadrature"
+                f"dense communicability of {n} nodes needs {needed} bytes, "
+                f"above the {_DENSE_BUDGET}-byte budget; pass approximate=True"
             )
-        return {v: communicability_estimate(g, v, tol=tol) for v in g.nodes}
+        return _as_scores(g, _lanczos_communicability(g.adjacency_matrix(), tol))
     dense = g.adjacency_matrix().toarray()
     eigenvalues, vectors = np.linalg.eigh(dense)
-    scores = (vectors**2) @ np.exp(eigenvalues)
-    return _as_scores(g, scores)
+    del dense
+    np.square(vectors, out=vectors)
+    return _as_scores(g, vectors @ np.exp(eigenvalues))
 
 
-def communicability_estimate(
-    g: SocialGraph, node: int, tol: float = 1e-10, max_steps: int = 80
-) -> float:
-    """Lanczos-quadrature estimate of one diagonal entry of expm(A)."""
-    A = g.adjacency_matrix()
-    n = g.num_nodes
-    start = np.zeros(n)
-    start[g.index_of(node)] = 1.0
-    basis = [start]
-    alphas: list[float] = []
-    betas: list[float] = []
-    previous = None
-    estimate = 1.0
-    for step in range(1, max_steps + 1):
-        w = A @ basis[-1]
-        alpha = float(basis[-1] @ w)
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        for b in basis:  # full reorthogonalization; n is small here per call
-            w = w - (b @ w) * b
-        beta = float(np.linalg.norm(w))
-        T = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            T += np.diag(off, 1) + np.diag(off, -1)
-        estimate = float(scipy.linalg.expm(T)[0, 0])
-        if previous is not None and abs(estimate - previous) <= tol * max(
-            1.0, abs(estimate)
-        ):
-            return estimate
-        previous = estimate
-        if beta < 1e-14:  # Krylov space exhausted: estimate is exact
-            return estimate
-        betas.append(beta)
-        basis.append(w / beta)
-    return estimate
+def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
+    """e_i' expm(A) e_i by Lanczos from e_i, one column per node and
+    ``_BLOCK`` columns at a time. After k steps the estimate is
+    e_1' expm(T_k) e_1, from one ``eigh`` of the live columns' stacked k x k
+    tridiagonals. A column stops when its estimate moves by at most ``tol``
+    relative, or when its Krylov space is exhausted (beta = 0, exact)."""
+    n = A.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        live = np.arange(start, min(start + _BLOCK, n))  # nodes still iterating
+        q = np.eye(n, len(live), -start)  # column j is e_(start + j)
+        q_prev = np.zeros_like(q)  # the step before's q, then scratch
+        alphas, betas = np.zeros((2, len(live), _LANCZOS_STEPS))
+        last = np.full(len(live), np.nan)
+        for k in range(_LANCZOS_STEPS):
+            w = A @ q
+            alphas[:, k] = np.einsum("ij,ij->j", q, w)
+            w -= np.multiply(q_prev, betas[:, k - 1], out=q_prev)  # zero at k = 0
+            w -= np.multiply(q, alphas[:, k], out=q_prev)
+            betas[:, k] = np.sqrt(np.einsum("ij,ij->j", w, w))
+            T, d = np.zeros((len(live), k + 1, k + 1)), np.arange(k + 1)
+            T[:, d, d] = alphas[:, : k + 1]
+            T[:, d[1:], d[:-1]] = T[:, d[:-1], d[1:]] = betas[:, :k]
+            theta, U = np.linalg.eigh(T)
+            step = np.einsum("ij,ij->i", U[:, 0, :] ** 2, np.exp(theta))
+            done = betas[:, k] <= 1e-12
+            done |= np.abs(step - last) <= tol * np.maximum(1.0, np.abs(step))
+            out[live[done]] = step[done]
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                break
+            if keep.size < live.size:
+                q, w = q.take(keep, axis=1), w.take(keep, axis=1)
+            live, last, alphas, betas = live[keep], step[keep], alphas[keep], betas[keep]
+            w /= betas[:, k]
+            q_prev, q = q, w
+        else:
+            raise CentralityError(f"{len(live)} nodes' cc unconverged in {_LANCZOS_STEPS} steps")
+    return out
 
 
 # -- the combined table ---------------------------------------------------------
@@ -470,7 +473,7 @@ def centrality_table(
     """Compute the requested measures, recording failures instead of dying.
 
     A measure that cannot be computed (no edges for ``ec``, solver ran out
-    of iterations, dense cap exceeded) becomes a ``failures`` entry; the
+    of iterations, dense budget exceeded) becomes a ``failures`` entry; the
     table keeps every measure that did succeed.
     """
     if g.num_nodes == 0:
@@ -522,11 +525,7 @@ def centrality_table(
         "hits": run_hits,
         "pr": run_pr,
         "ec": run_ec,
-        "cc": lambda: communicability_centrality(
-            g,
-            cap=cfg.communicability_cap,
-            approximate=cfg.approximate_communicability,
-        ),
+        "cc": lambda: communicability_centrality(g, cfg.approximate_communicability),
         "lc": lambda: _as_scores(g, shortest_paths()[2]),
     }
     for measure in (m for m in MEASURES if m in measures):

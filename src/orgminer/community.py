@@ -15,6 +15,7 @@ communities whose vote is too thin to trust.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .graph import GraphError, SocialGraph
+from .utils import decode_dataclass
 
 
 class PartitionError(GraphError):
@@ -34,40 +36,40 @@ class PartitionError(GraphError):
 # -- position normalization -------------------------------------------------------
 
 
+class RoleRuleError(ValueError):
+    """A role-rule table is malformed."""
+
+
 @dataclass(frozen=True)
 class RoleRule:
     category: str
     keywords: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class _RuleTable:
+    rules: tuple[RoleRule, ...]
+    comment: str = ""
+
+
 def load_role_rules(path: str | Path | None = None) -> tuple[RoleRule, ...]:
-    """Load the ordered keyword rules, from the bundled table by default."""
-    if path is None:
-        text = (
-            resources.files("orgminer").joinpath("data/role_rules.json").read_text()
-        )
-    else:
-        text = Path(path).read_text()
-    raw = json.loads(text)
-    rules = []
-    for entry in raw["rules"]:
-        keywords = tuple(str(k).casefold() for k in entry["keywords"])
-        if not keywords:
-            raise ValueError(f"rule {entry['category']!r} has no keywords")
-        rules.append(RoleRule(str(entry["category"]), keywords))
-    if not rules:
-        raise ValueError("role rule table is empty")
-    return tuple(rules)
+    """Load the ordered keyword rules, from the bundled table by default. An
+    unknown or missing key, a value of the wrong JSON type, an empty table
+    or a rule without keywords is a ``RoleRuleError``."""
+    source = resources.files("orgminer") / "data/role_rules.json" if path is None else Path(path)
+    raw = json.loads(source.read_text())
+    table = decode_dataclass(_RuleTable, raw, RoleRuleError, "role rule table")
+    for rule in table.rules:
+        if not rule.keywords:
+            raise RoleRuleError(f"rule {rule.category!r} has no keywords")
+    if not table.rules:
+        raise RoleRuleError("role rule table is empty")
+    return tuple(RoleRule(r.category, tuple(map(str.casefold, r.keywords))) for r in table.rules)
 
 
-_DEFAULT_RULES: tuple[RoleRule, ...] | None = None
-
-
+@functools.cache
 def default_role_rules() -> tuple[RoleRule, ...]:
-    global _DEFAULT_RULES
-    if _DEFAULT_RULES is None:
-        _DEFAULT_RULES = load_role_rules()
-    return _DEFAULT_RULES
+    return load_role_rules()
 
 
 def normalize_position(
@@ -288,8 +290,6 @@ def infer_roles(
     low-confidence when either vote has fewer than `min_labeled` voters
     or a winning share below `min_support`.
     """
-    if rules is None:
-        rules = default_role_rules()
     links = _internal_link_counts(g, partition.assignment)
     out: list[CommunityRole] = []
     for comm, members in partition.communities().items():

@@ -112,13 +112,14 @@ class CrawlConfig:
         return decode_dataclass(cls, d, StateError, "crawl config")
 
 
-_BITS = 48  # seqs and node ids lie in [0, 2**48)
-_MASK = (1 << _BITS) - 1
+_SEQ_MASK = (1 << 48) - 1  # seqs lie in [0, 2**48)
+_NODE_MASK, _OFFSET = (1 << 64) - 1, 1 << 63  # the low 64 bits hold int64 id + 2**63
+_PRIORITY_SHIFT = 48 + 64
 
 
 def _key(priority: int, seq: int, node: int) -> int:
-    """One int that sorts like ``(-priority, seq, node)`` for seq, node < 2**48."""
-    return (((-priority << _BITS) + seq) << _BITS) + node
+    """One int that sorts like ``(-priority, seq, node)`` for seq < 2**48, int64 node."""
+    return (((-priority << 48) + seq) << 64) + node + _OFFSET
 
 
 class Frontier:
@@ -128,7 +129,7 @@ class Frontier:
     candidates at equal priority dequeue in the order they first
     appeared. A heap row is the int ``_key(priority, seq, node)``; a row
     is live while it equals its node's entry, and other rows are discarded
-    lazily. Node ids must lie in ``[0, 2**48)``.
+    lazily. Node ids may be any int64.
     """
 
     def __init__(self):
@@ -143,43 +144,43 @@ class Frontier:
         return node in self._entries
 
     def priority_of(self, node: int) -> int:
-        return -(self._entries[node] >> 2 * _BITS)
+        return -(self._entries[node] >> _PRIORITY_SHIFT)
 
     def push(self, node: int, priority: int) -> None:
         if node in self._entries:
             raise CrawlError(f"node {node} already queued")
-        if not 0 <= node <= _MASK:
-            raise CrawlError(f"node id {node} is outside [0, 2**{_BITS})")
+        if not -_OFFSET <= node < _OFFSET:
+            raise CrawlError(f"node id {node} is outside the int64 range")
         key = self._entries[node] = _key(priority, self._next_seq, node)
         self._next_seq += 1
         heapq.heappush(self._heap, key)
 
     def increase(self, node: int, by: int = 1) -> None:
-        key = self._entries[node] = self._entries[node] - (by << 2 * _BITS)
+        key = self._entries[node] = self._entries[node] - (by << _PRIORITY_SHIFT)
         heapq.heappush(self._heap, key)
 
     def pop(self) -> tuple[int, int]:
         while self._heap:
             key = heapq.heappop(self._heap)
-            if self._entries.get(node := key & _MASK) == key:
+            if self._entries.get(node := (key & _NODE_MASK) - _OFFSET) == key:
                 del self._entries[node]
-                return node, -(key >> 2 * _BITS)
+                return node, -(key >> _PRIORITY_SHIFT)
         raise CrawlError("frontier is empty")
 
     def max_priority(self) -> int | None:
         heap, entries = self._heap, self._entries
-        while heap and entries.get(heap[0] & _MASK) != heap[0]:
+        while heap and entries.get((heap[0] & _NODE_MASK) - _OFFSET) != heap[0]:
             heapq.heappop(heap)
-        return -(heap[0] >> 2 * _BITS) if heap else None
+        return -(heap[0] >> _PRIORITY_SHIFT) if heap else None
 
     def items(self) -> dict[int, int]:
-        return {node: -(key >> 2 * _BITS) for node, key in self._entries.items()}
+        return {node: -(key >> _PRIORITY_SHIFT) for node, key in self._entries.items()}
 
     # -- persistence ------------------------------------------------------
 
     def dump(self) -> dict:
         rows = sorted(
-            ((key >> _BITS) & _MASK, node, -(key >> 2 * _BITS))
+            ((key >> 64) & _SEQ_MASK, node, -(key >> _PRIORITY_SHIFT))
             for node, key in self._entries.items()
         )
         return {
@@ -194,12 +195,12 @@ class Frontier:
         f._next_seq = next_seq = int(data["next_seq"])
         entries, seqs = f._entries, set()
         for node, prio, seq in (map(int, row) for row in data["entries"]):
-            if (node in entries or seq in seqs or not 0 <= node <= _MASK
-                    or not 0 <= seq < next_seq <= _MASK):
+            if (node in entries or seq in seqs or not -_OFFSET <= node < _OFFSET
+                    or not 0 <= seq < next_seq <= _SEQ_MASK):
                 raise StateError(f"corrupt frontier: node {node} or seq {seq}")
             seqs.add(seq)
             entries[node] = _key(prio, seq, node)
-        if not 0 <= next_seq <= _MASK:
+        if not 0 <= next_seq <= _SEQ_MASK:
             raise StateError(f"corrupt frontier: next_seq {next_seq} out of range")
         f._heap = list(entries.values())
         heapq.heapify(f._heap)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from orgminer import (
     load_centrality,
     pagerank,
 )
+from orgminer import centrality
 from orgminer.bruteforce import (
     oracle_betweenness,
     oracle_closeness,
@@ -306,3 +312,78 @@ def test_feature_matrix_column_order():
     assert X.shape == (9, 8)
     for j, m in enumerate(MEASURES):
         assert X[:, j] == pytest.approx(as_vector(table.scores[m], g))
+
+
+# -- communicability above the dense budget ---------------------------------------
+
+
+def _disconnected_graph() -> SocialGraph:
+    # a dense 30-node component, a sparse 40-node one, a path, and isolated nodes
+    parts = [random_graph(5, 30, 0.5), random_graph(6, 40, 0.08), path_graph(5)]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.num_nodes
+    return SocialGraph(range(offset + 4), edges)
+
+
+LANCZOS_GRAPHS = {
+    "random": lambda: random_graph(11, 300, 0.06),
+    "dense random": lambda: random_graph(12, 120, 0.6),
+    "bipartite": lambda: SocialGraph(
+        range(70), [(i, j) for i in range(30) for j in range(30, 70) if (i + 2 * j) % 3]
+    ),
+    "disconnected": _disconnected_graph,
+}
+
+
+@pytest.mark.parametrize("name", LANCZOS_GRAPHS)
+def test_lanczos_communicability_matches_dense(monkeypatch, name):
+    g = LANCZOS_GRAPHS[name]()
+    dense = as_vector(communicability_centrality(g), g)
+    monkeypatch.setattr(centrality, "_DENSE_BUDGET", 40 * g.num_nodes**2 - 1)
+    with pytest.raises(CentralityError):
+        communicability_centrality(g)
+    approx = as_vector(communicability_centrality(g, approximate=True), g)
+    assert np.max(np.abs(approx - dense) / dense) <= 1e-10
+    isolated = [i for i, v in enumerate(g.nodes) if g.degree(v) == 0]
+    assert all(approx[i] == 1.0 for i in isolated)
+    assert (name == "disconnected") == bool(isolated)
+
+
+def test_lanczos_out_of_steps_is_a_centrality_error(monkeypatch):
+    monkeypatch.setattr(centrality, "_DENSE_BUDGET", 0)
+    monkeypatch.setattr(centrality, "_LANCZOS_STEPS", 2)
+    with pytest.raises(CentralityError, match="unconverged in 2 steps"):
+        communicability_centrality(random_graph(11, 300, 0.06), approximate=True)
+
+
+def test_communicability_over_budget_fails_before_any_dense_allocation(monkeypatch):
+    g = random_graph(3, 400, 0.05)
+    needed = 40 * g.num_nodes**2  # five n x n float64 arrays
+    monkeypatch.setattr(centrality, "_DENSE_BUDGET", needed - 1)
+    tracemalloc.start()
+    try:
+        table = centrality_table(g, measures=("cc",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "cc" not in table.scores
+    assert f"needs {needed} bytes" in table.failures["cc"]
+    assert peak < g.num_nodes**2 * 8
+    config = CentralityConfig(approximate_communicability=True)
+    assert not centrality_table(g, config, measures=("cc",)).failures
+
+
+def test_import_loads_neither_scipy_linalg_nor_scipy_stats():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import orgminer, orgminer.cli\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.stats') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"

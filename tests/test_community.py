@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +21,8 @@ from orgminer import (
 from orgminer.bruteforce import best_partition_bruteforce
 from orgminer.community import (
     PartitionError,
+    RoleRule,
+    RoleRuleError,
     partition_table_bytes,
     report_table_bytes,
 )
@@ -264,6 +269,42 @@ def test_rules_load_from_custom_file(tmp_path):
     rules = load_role_rules(path)
     assert normalize_position("senior wizard", rules) == "X"
     assert normalize_position("engineer", rules) is None
+
+
+MALFORMED_RULES = {
+    "string keywords": (
+        {"rules": [{"category": "Lead", "keywords": "lead"}]},
+        "rules[0] setting 'keywords' must be tuple[str, ...], got 'lead'"),
+    "misspelled key": (
+        {"rules": [{"category": "Lead", "keywords": ["lead"], "catgory": "x"}]},
+        "unknown rules[0] settings: ['catgory']"),
+    "numeric category": (
+        {"rules": [{"category": 7, "keywords": ["lead"]}]},
+        "rules[0] setting 'category' must be str, got 7"),
+    "missing rules": ({"comment": "no rules"}, "missing role rule table settings: ['rules']"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RULES)
+def test_malformed_rule_tables_raise_a_typed_error(tmp_path, case):
+    table, message = MALFORMED_RULES[case]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(RoleRuleError) as exc:
+        load_role_rules(path)
+    assert message in str(exc.value)
+
+
+def test_bundled_rules_decode_as_the_lenient_reader_did():
+    raw = json.loads(
+        resources.files("orgminer").joinpath("data/role_rules.json").read_text()
+    )
+    assert set(raw) == {"comment", "rules"}
+    lenient = tuple(
+        RoleRule(str(e["category"]), tuple(str(k).casefold() for k in e["keywords"]))
+        for e in raw["rules"]
+    )
+    assert load_role_rules() == lenient
 
 
 # -- role inference -------------------------------------------------------------

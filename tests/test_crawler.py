@@ -261,14 +261,34 @@ def test_frontier_single_entry_per_node():
     assert len(f) == 0
 
 
-@pytest.mark.parametrize("node", [-1, 2**48])
+@pytest.mark.parametrize("node", [-(2**63) - 1, 2**63])
 def test_frontier_rejects_node_ids_outside_the_key_range(node):
     f = Frontier()
     with pytest.raises(CrawlError):
         f.push(node, 1)
     assert len(f) == 0
-    f.push(2**48 - 1, 1)
-    assert f.pop() == (2**48 - 1, 1)
+    for v in (2**63 - 1, -(2**63), -1, 0):
+        f.push(v, 1)
+    assert [f.pop() for _ in range(4)] == [(2**63 - 1, 1), (-(2**63), 1), (-1, 1), (0, 1)]
+    f = Frontier.restore(
+        {"next_seq": 2, "entries": [[-(2**63), 3, 0], [2**63 - 1, 3, 1]]}
+    )
+    assert [f.pop() for _ in range(2)] == [(-(2**63), 3), (2**63 - 1, 3)]
+
+
+def test_crawl_and_resume_over_negative_node_ids(tmp_path):
+    src = make_source([-5, -1, 3], [(-5, -1), (-5, 3), (-1, 3)],
+                      {-5: ("acme",), -1: ("acme",), 3: ("acme",)})
+    cfg = CrawlConfig(seeds=[-5], keywords=["acme"])
+    full = crawl(src, cfg)
+    assert full.graph.nodes == (-5, -1, 3)
+    assert full.graph.num_edges == 3
+    part = crawl(src, CrawlConfig(seeds=[-5], keywords=["acme"], max_fetches=1))
+    assert part.stats.truncated
+    path = tmp_path / "state.json"
+    save_state(part.state, path)
+    done = crawl(src, cfg, state=resume(path, src))
+    assert done.state.to_json_bytes() == full.state.to_json_bytes()
 
 
 # -- crawl basics -------------------------------------------------------------
@@ -625,11 +645,11 @@ def _corrupt_long_row(frontier):
 
 
 def _corrupt_negative_node(frontier):
-    frontier["entries"][0][0] = -1
+    frontier["entries"][0][0] = -(2**63) - 1
 
 
 def _corrupt_huge_node(frontier):
-    frontier["entries"][0][0] = 2**48
+    frontier["entries"][0][0] = 2**63
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -4,8 +4,10 @@ The references are the earlier implementations: trees grown node by node
 on a materialized bootstrap with one sort per candidate feature, a full
 lexsort for the nearest neighbours, a greedy-modularity heap that holds
 every adjacent pair, the world generator's scalar pair decoder and
-rejection sampler, and a social graph of per-node adjacency sets and an
-edge-tuple set. The kernels must give the same bits.
+rejection sampler, a social graph of per-node adjacency sets and an
+edge-tuple set, and a shortest-path sweep that kept every BFS distance and
+one predecessor-count array per level. The kernels must give the same
+bits.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from orgminer import GraphError, SocialGraph, classifiers
+from orgminer.centrality import _shortest_path_sweep
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
 from orgminer.community import MergeStep, detect_communities
 from orgminer.synthworld import _distinct_indices, _pairs_from_indices, generate_world
@@ -377,6 +380,129 @@ def test_greedy_merges_match_reference_on_acceptance_worlds():
             world = generate_world(two_community_spec(seed, disclosure=disclosure))
             sub = world.graph.subgraph(sorted(world.truth.all_members()))
             assert detect_communities(sub).merges == ref_merges(sub)
+
+
+# -- shortest-path sweep ----------------------------------------------------------
+
+
+def ref_shortest_path_sweep(g: SocialGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep with an int64 distance array, one float32 predecessor-count
+    array per level and fresh coefficient arrays per product."""
+    n = g.num_nodes
+    A = g.adjacency_matrix()
+    cl, bc, lc = np.zeros((3, n))
+    for start in range(0, n, 256):
+        sources = np.arange(start, min(start + 256, n))
+        B = len(sources)
+        cols = np.arange(B)
+        dist = np.full((n, B), -1, dtype=np.int64)
+        dist[sources, cols] = 0
+        frontier = np.zeros((n, B), dtype=bool)
+        frontier[sources, cols] = True
+        sigma = np.zeros((n, B))
+        sigma[sources, cols] = 1.0
+        masks = [frontier]
+        # npreds[level]: how many neighbours each node has on level - 1, read
+        # on that level's mask; float32 holds these small counts exactly
+        npreds = [np.empty(0)]
+        while True:
+            preds = A @ frontier.astype(np.float64)
+            new = (preds > 0) & (dist < 0)
+            if not new.any():
+                break
+            dist[new] = len(masks)
+            paths = A @ np.where(frontier, sigma, 0.0)
+            np.copyto(sigma, paths, where=new)
+            masks.append(new)
+            npreds.append(preds.astype(np.float32))
+            frontier = new
+        finite = dist >= 0
+        r = finite.sum(axis=0)  # includes the source itself
+        totals = np.where(finite, dist, 0).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cl[sources] = np.where(
+                totals > 0,
+                ((r - 1) / (n - 1)) * ((r - 1) / np.where(totals > 0, totals, 1)),
+                0.0,
+            )
+
+        delta = np.zeros((n, B))
+        flow = np.where(dist > 0, 1.0, 0.0)  # one packet per reachable target
+        initial = flow.copy()
+        for level in range(len(masks) - 1, 0, -1):
+            mask = masks[level]
+            prev = masks[level - 1]
+            coeff = np.zeros((n, B))
+            np.divide(1.0 + delta, sigma, out=coeff, where=mask)
+            contrib = A @ coeff
+            np.add(delta, contrib * sigma, out=delta, where=prev)
+            coeff = np.zeros((n, B))
+            np.divide(flow, npreds[level], out=coeff, where=mask)
+            contrib = A @ coeff
+            np.add(flow, contrib, out=flow, where=prev)
+        delta[sources, cols] = 0.0
+        bc += delta.sum(axis=1)
+        through = flow - initial
+        through[sources, cols] = 0.0
+        lc += through.sum(axis=1)
+    if n < 3:
+        return cl, np.zeros(n), np.zeros(n)
+    bc /= 2.0  # each unordered pair was accumulated from both endpoints
+    bc /= (n - 1) * (n - 2) / 2.0
+    lc /= (n - 1) * (n - 2)  # ordered pairs
+    return cl, bc, lc
+
+
+@st.composite
+def sweep_graphs(draw):
+    """Up to four random components, some isolated nodes, at small sizes and
+    at sizes around the 256-source block."""
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from((255, 256, 257, 600))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    component = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    component[: draw(st.integers(0, min(5, n - 1)))] = -1  # isolated
+    degree = draw(st.sampled_from((0.5, 2.0, 6.0, 30.0)))
+    u, v = np.triu_indices(n, 1)
+    same = (component[u] == component[v]) & (component[u] >= 0)
+    keep = same & (rng.random(u.size) < degree / n)
+    return SocialGraph(range(n), np.column_stack((u[keep], v[keep])))
+
+
+def _assert_sweeps_equal(g):
+    for got, want in zip(_shortest_path_sweep(g), ref_shortest_path_sweep(g)):
+        assert np.array_equal(got, want)
+
+
+@given(sweep_graphs())
+def test_shortest_path_sweep_matches_reference(g):
+    _assert_sweeps_equal(g)
+
+
+def test_shortest_path_sweep_matches_reference_on_acceptance_worlds():
+    for i in range(50):
+        _assert_sweeps_equal(
+            random_graph(1000 + i, 4 + (i % 7), (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5])
+        )
+    for seed in range(10):
+        for disclosure in (1.0, 0.4):
+            world = generate_world(two_community_spec(seed, disclosure=disclosure))
+            _assert_sweeps_equal(world.graph)
+            _assert_sweeps_equal(world.graph.subgraph(sorted(world.truth.all_members())))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shortest_path_sweep_peak_is_at_most_60_percent_of_the_reference():
+    g = random_graph(7, 600, 0.02)
+    g.adjacency_matrix()  # built once and cached, outside both traces
+    assert _traced_peak(_shortest_path_sweep, g) <= 0.6 * _traced_peak(ref_shortest_path_sweep, g)
 
 
 # -- social graph ------------------------------------------------------------------------

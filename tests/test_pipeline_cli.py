@@ -32,6 +32,7 @@ from orgminer import (
 from orgminer.utils import derive_seed, stable_json
 
 from conftest import two_community_spec, write_half_then_fail
+from test_community import MALFORMED_RULES
 
 GENERATE_ARTIFACTS = {
     "world_edges.txt",
@@ -654,6 +655,20 @@ def test_cli_communities_counts_classified_positions_with_given_rules(
     assert cli.main(args) == 0
     rows = [ln.split(",") for ln in report.read_text().splitlines()[1:]]
     assert sum(int(r[4]) for r in rows) > 0  # the bundled table does
+
+
+@pytest.mark.parametrize("case", MALFORMED_RULES)
+def test_cli_communities_rejects_a_malformed_rule_table(world_files, tmp_path, capsys, case):
+    table, message = MALFORMED_RULES[case]
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(table))
+    partition = tmp_path / "partition.csv"
+    args = ["communities", "--edges", str(world_files["edges"]), "--rules", str(rules)]
+    args += ["--out-partition", str(partition), "--out-report", str(tmp_path / "report.csv")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not partition.exists()
 
 
 def test_cli_communities_failing_write_keeps_the_old_partition(
