@@ -79,11 +79,9 @@ from .leadership import (
     UnlabeledNodesError,
     auc_rank_statistic,
     build_instances,
-    classify_all,
     cross_validate,
     evaluate,
     hidden_manager_report,
-    paired_fold_comparison,
     precision_at_k,
     rank_nodes,
     stratified_folds,

@@ -11,14 +11,16 @@ Measures and conventions (n = node count, scores keyed by node id):
   update degenerates so authority equals hub; both are the dominant
   (Perron) direction of the adjacency. The iteration carries an identity
   shift so bipartite graphs converge instead of oscillating.
-* ``pr``  damped random walk (default 0.85); dangling mass spreads
+* ``pr``  damped random walk (damping 0.85); dangling mass spreads
   uniformly; scores sum to one.
 * ``ec``  dominant adjacency eigenvector, nonnegative, unit Euclidean
   norm, power iteration from all-ones (same identity shift).
 * ``cc``  communicability (subgraph) centrality diag(expm(A)) via dense
   symmetric eigendecomposition within a fixed memory budget (n <= 7327);
   above it Lanczos quadrature if ``approximate`` is set, else a
-  ``CentralityError`` naming the bytes needed. Isolated nodes score 1.
+  ``CentralityError`` naming the bytes needed. A score past the float64
+  range (largest eigenvalue above ln(max float) ~ 709.78) is a
+  ``CentralityError`` too. Isolated nodes score 1.
 * ``lc``  load centrality: unit packets routed along shortest paths,
   splitting equally at each hop, summed over ordered pairs and
   normalized by (n-1)(n-2).
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import GraphError, SocialGraph
+from .graph import GraphError, SocialGraph, _id_array
 
 MEASURES = ("dg", "cl", "bc", "hits", "pr", "ec", "cc", "lc")
 
@@ -47,6 +49,7 @@ _DEFAULT_MAX_ITER = 1000
 _BLOCK = 256
 _DENSE_BUDGET = 2**31  # bytes for communicability's dense path; n = 6000 needs 1.44e9
 _LANCZOS_STEPS = 100
+_DAMPING = 0.85
 
 
 class CentralityError(GraphError):
@@ -65,7 +68,6 @@ class ConvergenceError(CentralityError):
 class CentralityConfig:
     tol: float = _DEFAULT_TOL
     max_iter: int = _DEFAULT_MAX_ITER
-    damping: float = 0.85
     approximate_communicability: bool = False
 
 
@@ -170,18 +172,10 @@ def load_centrality(g: SocialGraph) -> dict[int, float]:
 # -- spectral measures ----------------------------------------------------------
 
 
-def _degrees(A: sp.csr_array) -> np.ndarray:
-    return np.asarray(A.sum(axis=1)).ravel()
-
-
-def _pagerank_vector(
-    g: SocialGraph, damping: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
-    n = g.num_nodes
-    if not 0.0 < damping < 1.0:
-        raise CentralityError("damping must lie strictly between 0 and 1")
+def _pagerank_vector(g: SocialGraph, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    n, damping = g.num_nodes, _DAMPING
     A = g.adjacency_matrix()
-    deg = _degrees(A)
+    deg = np.asarray(A.sum(axis=1)).ravel()
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)
     x = np.full(n, 1.0 / n)
@@ -202,15 +196,12 @@ def _pagerank_vector(
 
 
 def pagerank(
-    g: SocialGraph,
-    damping: float = 0.85,
-    tol: float = _DEFAULT_TOL,
-    max_iter: int = _DEFAULT_MAX_ITER,
+    g: SocialGraph, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
 ) -> dict[int, float]:
     """Damped random-walk scores; dangling mass is spread uniformly."""
     if g.num_nodes == 0:
         return {}
-    x, _ = _pagerank_vector(g, damping, tol, max_iter)
+    x, _ = _pagerank_vector(g, tol, max_iter)
     return _as_scores(g, x)
 
 
@@ -292,7 +283,8 @@ def communicability_centrality(
     Above the budget, ``approximate=True`` runs Lanczos quadrature
     (Golub & Meurant) to ``tol`` relative; without it a ``CentralityError``
     names the bytes needed before any n x n array exists. Isolated nodes
-    score exactly 1 either way."""
+    score exactly 1 either way. A score that overflows float64 is a
+    ``CentralityError``, on either path."""
     n = g.num_nodes
     # five n x n float64 arrays: A, LAPACK's copy, syevd's 2n^2 workspace and
     # the eigenvectors (5.1 n^2 x 8 bytes of RSS measured at n=3000)
@@ -303,12 +295,17 @@ def communicability_centrality(
                 f"dense communicability of {n} nodes needs {needed} bytes, "
                 f"above the {_DENSE_BUDGET}-byte budget; pass approximate=True"
             )
-        return _as_scores(g, _lanczos_communicability(g.adjacency_matrix(), tol))
-    dense = g.adjacency_matrix().toarray()
-    eigenvalues, vectors = np.linalg.eigh(dense)
-    del dense
-    np.square(vectors, out=vectors)
-    return _as_scores(g, vectors @ np.exp(eigenvalues))
+        x = _lanczos_communicability(g.adjacency_matrix(), tol)
+    else:
+        dense = g.adjacency_matrix().toarray()
+        eigenvalues, vectors = np.linalg.eigh(dense)
+        del dense
+        np.square(vectors, out=vectors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = vectors @ np.exp(eigenvalues)
+    if not np.isfinite(x).all():
+        raise CentralityError("communicability overflows float64: lambda_max > ln(max float)")
+    return _as_scores(g, x)
 
 
 def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
@@ -316,7 +313,8 @@ def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
     ``_BLOCK`` columns at a time. After k steps the estimate is
     e_1' expm(T_k) e_1, from one ``eigh`` of the live columns' stacked k x k
     tridiagonals. A column stops when its estimate moves by at most ``tol``
-    relative, or when its Krylov space is exhausted (beta = 0, exact)."""
+    relative, when its Krylov space is exhausted (beta = 0, exact), or when
+    it overflows."""
     n = A.shape[0]
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
@@ -335,9 +333,10 @@ def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
             T[:, d, d] = alphas[:, : k + 1]
             T[:, d[1:], d[:-1]] = T[:, d[:-1], d[1:]] = betas[:, :k]
             theta, U = np.linalg.eigh(T)
-            step = np.einsum("ij,ij->i", U[:, 0, :] ** 2, np.exp(theta))
-            done = betas[:, k] <= 1e-12
-            done |= np.abs(step - last) <= tol * np.maximum(1.0, np.abs(step))
+            with np.errstate(over="ignore", invalid="ignore"):  # the caller raises
+                step = np.einsum("ij,ij->i", U[:, 0, :] ** 2, np.exp(theta))
+                done = (betas[:, k] <= 1e-12) | ~np.isfinite(step)
+                done |= np.abs(step - last) <= tol * np.maximum(1.0, np.abs(step))
             out[live[done]] = step[done]
             keep = np.flatnonzero(~done)
             if not keep.size:
@@ -355,51 +354,57 @@ def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
 # -- the combined table ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CentralityTable:
-    """Per-node scores for every computed measure, plus failure notes.
+    """Per-node scores of the computed measures, plus failure notes.
 
-    ``scores['hits']`` is the authority vector (the value fed to feature
-    matrices); the hub vector rides along in ``hub_scores``.
+    ``values`` is one float64 array of shape n x len(MEASURES): row i holds
+    ``nodes[i]`` and column j holds ``MEASURES[j]``. Only the columns named
+    in ``measures`` hold scores; a measure that failed (no edges for ``ec``,
+    a solver out of iterations, communicability over its budget or past the
+    float64 range) is a ``failures`` entry and its column is NaN filler.
+    The ``hits`` column is the authority vector; ``hub`` is the hub vector in
+    row order, or None. ``scores`` and ``hub_scores`` are dicts keyed by
+    node, built from the array on each access.
     """
 
     nodes: tuple[int, ...]
-    scores: dict[str, dict[int, float]]
-    hub_scores: dict[int, float] | None = None
+    values: np.ndarray
+    measures: tuple[str, ...]
+    hub: np.ndarray | None = None
     failures: dict[str, str] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     @property
-    def measures(self) -> tuple[str, ...]:
-        return tuple(m for m in MEASURES if m in self.scores)
+    def scores(self) -> dict[str, dict[int, float]]:
+        return {
+            m: dict(zip(self.nodes, self.values[:, MEASURES.index(m)].tolist()))
+            for m in self.measures
+        }
 
-    def feature_matrix(self, nodes: Sequence[int] | None = None) -> np.ndarray:
-        """n x 8 matrix in MEASURES order; requires every measure present."""
-        if self.failures:
-            raise CentralityError(
-                f"table is partial; failed measures: {sorted(self.failures)}"
-            )
-        use = tuple(nodes) if nodes is not None else self.nodes
-        out = np.empty((len(use), len(MEASURES)))
-        for j, measure in enumerate(MEASURES):
-            column = self.scores[measure]
-            out[:, j] = [column[v] for v in use]
-        return out
+    @property
+    def hub_scores(self) -> dict[int, float] | None:
+        return None if self.hub is None else dict(zip(self.nodes, self.hub.tolist()))
+
+    def feature_matrix(self) -> np.ndarray:
+        """A copy of ``values``; requires every measure present."""
+        if len(self.measures) < len(MEASURES):
+            missing = [m for m in MEASURES if m not in self.measures]
+            raise CentralityError(f"table is partial; missing measures: {missing}")
+        return self.values.copy()
 
     def to_csv_bytes(self) -> bytes:
-        columns = list(self.measures)
-        header = ["node"] + columns + (["hits_hub"] if self.hub_scores else [])
+        columns = self.values[:, [MEASURES.index(m) for m in self.measures]]
+        header = ["node", *self.measures]
+        if self.hub is not None:
+            header.append("hits_hub")
+            columns = np.column_stack((columns, self.hub))
         lines = [",".join(header)]
-        for v in self.nodes:
-            row = [str(v)] + [repr(self.scores[m][v]) for m in columns]
-            if self.hub_scores:
-                row.append(repr(self.hub_scores[v]))
-            lines.append(",".join(row))
+        for v, row in zip(self.nodes, columns.tolist()):
+            lines.append(",".join([str(v), *map(repr, row)]))
         iteration_notes = self.provenance.get("iterations", {})
         if iteration_notes:
-            noted = " ".join(
-                f"{m}={iteration_notes[m]}" for m in sorted(iteration_notes)
-            )
+            noted = " ".join(f"{m}={iteration_notes[m]}" for m in sorted(iteration_notes))
             lines.append(f"# iterations: {noted}")
         for measure in sorted(self.failures):
             lines.append(f"# failed: {measure}: {self.failures[measure]}")
@@ -407,62 +412,65 @@ class CentralityTable:
 
     @classmethod
     def from_csv_bytes(cls, data: bytes) -> "CentralityTable":
-        lines = [
-            ln
-            for ln in data.decode("utf-8").splitlines()
-            if ln.strip() and not ln.startswith("#")
-        ]
+        text = data.decode("utf-8").splitlines()
+        lines = [ln for ln in text if ln.strip() and not ln.startswith("#")]
         if not lines:
             raise CentralityError("empty centrality table")
         header = lines[0].split(",")
         if header[0] != "node":
             raise CentralityError("centrality table must start with a node column")
-        measure_cols = [h for h in header[1:] if h != "hits_hub"]
-        unknown = set(measure_cols) - set(MEASURES)
+        unknown = set(header[1:]) - set(MEASURES) - {"hits_hub"}
         if unknown:
             raise CentralityError(f"unknown measures in table: {sorted(unknown)}")
+        values = np.full((len(lines) - 1, len(MEASURES)), np.nan)
+        hub = np.empty(len(lines) - 1)
+        columns = [hub if h == "hits_hub" else values[:, MEASURES.index(h)] for h in header[1:]]
         nodes = []
-        scores: dict[str, dict[int, float]] = {m: {} for m in measure_cols}
-        hub: dict[int, float] = {}
-        for line in lines[1:]:
+        for i, line in enumerate(lines[1:]):
             cells = line.split(",")
-            v = int(cells[0])
-            nodes.append(v)
-            for name, cell in zip(header[1:], cells[1:]):
-                if name == "hits_hub":
-                    hub[v] = float(cell)
-                else:
-                    scores[name][v] = float(cell)
-        failures = {m: "absent from table" for m in MEASURES if m not in measure_cols}
+            if len(cells) != len(header):
+                raise CentralityError(
+                    f"table row {i + 1} has {len(cells)} cells, the header {len(header)}"
+                )
+            nodes.append(int(cells[0]))
+            for column, cell in zip(columns, cells[1:]):
+                column[i] = float(cell)
+        _id_array(nodes)  # a GraphError names an id that does not fit in int64
+        if len(set(nodes)) < len(nodes):
+            raise CentralityError("centrality table lists a node twice")
         return cls(
             nodes=tuple(nodes),
-            scores=scores,
-            hub_scores=hub or None,
-            failures=failures,
+            values=values,
+            measures=tuple(m for m in MEASURES if m in header),
+            hub=hub if "hits_hub" in header and nodes else None,
+            failures={m: "absent from table" for m in MEASURES if m not in header},
         )
 
 
-def _validate_table(g: SocialGraph, table: CentralityTable) -> None:
-    n = g.num_nodes
+def _validate_table(table: CentralityTable) -> None:
+    column = {m: table.values[:, MEASURES.index(m)] for m in table.measures}
+    for measure, x in column.items():
+        if not np.isfinite(x).all():
+            raise CentralityError(f"{measure} has a non-finite score")
     slack = 1e-9
     for measure in ("dg", "cl", "bc", "lc"):
-        if measure in table.scores:
-            vals = np.array([table.scores[measure][v] for v in table.nodes])
-            if len(vals) and (vals.min() < -slack or vals.max() > 1 + slack):
+        if measure in column:
+            if column[measure].min() < -slack or column[measure].max() > 1 + slack:
                 raise CentralityError(f"{measure} escaped [0, 1]")
-    if "pr" in table.scores and n:
-        total = sum(table.scores["pr"][v] for v in table.nodes)
+    if "pr" in column:
+        total = sum(column["pr"].tolist())
         if abs(total - 1.0) > 1e-9:
             raise CentralityError(f"pagerank sums to {total!r}, not 1")
     for measure in ("ec", "hits"):
-        if measure in table.scores and n:
-            vec = np.array([table.scores[measure][v] for v in table.nodes])
-            if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-6:
-                raise CentralityError(f"{measure} is not unit-norm")
-    if "cc" in table.scores:
-        low = min(table.scores["cc"].values(), default=1.0)
-        if low < 1.0 - 1e-9:
-            raise CentralityError("communicability fell below 1")
+        if measure in column and abs(float(np.linalg.norm(column[measure])) - 1.0) > 1e-6:
+            raise CentralityError(f"{measure} is not unit-norm")
+    if "cc" in column and column["cc"].min() < 1.0 - 1e-9:
+        raise CentralityError("communicability fell below 1")
+
+
+def _column(scores: dict[int, float]) -> np.ndarray:
+    """A public measure's dict, keyed in node order, as a table column."""
+    return np.fromiter(scores.values(), np.float64, len(scores))
 
 
 def centrality_table(
@@ -473,8 +481,8 @@ def centrality_table(
     """Compute the requested measures, recording failures instead of dying.
 
     A measure that cannot be computed (no edges for ``ec``, solver ran out
-    of iterations, dense budget exceeded) becomes a ``failures`` entry; the
-    table keeps every measure that did succeed.
+    of iterations, dense budget exceeded, communicability overflow) becomes
+    a ``failures`` entry; the table keeps every measure that did succeed.
     """
     if g.num_nodes == 0:
         raise CentralityError("centrality_table needs a non-empty graph")
@@ -482,54 +490,55 @@ def centrality_table(
     unknown = set(measures) - set(MEASURES)
     if unknown:
         raise CentralityError(f"unknown measures requested: {sorted(unknown)}")
-    table = CentralityTable(nodes=g.nodes, scores={})
+    values = np.full((g.num_nodes, len(MEASURES)), np.nan)
+    present: list[str] = []
+    hub = None
+    failures: dict[str, str] = {}
     iterations: dict[str, int] = {}
     seconds: dict[str, float] = {}
 
     def run(measure: str, fn):
         started = time.perf_counter()
         try:
-            result = fn()
+            values[:, MEASURES.index(measure)] = fn()
         except CentralityError as exc:
-            table.failures[measure] = str(exc)
+            failures[measure] = str(exc)
         else:
-            if measure == "hits":
-                table.scores["hits"], table.hub_scores = result
-            else:
-                table.scores[measure] = result
+            present.append(measure)
         seconds[measure] = time.perf_counter() - started
 
     def run_hits():
-        authority, hub, count = _hits_vectors(g, cfg.tol, cfg.max_iter)
-        iterations["hits"] = count
-        return _as_scores(g, authority), _as_scores(g, hub)
+        nonlocal hub
+        authority, hub, iterations["hits"] = _hits_vectors(g, cfg.tol, cfg.max_iter)
+        return authority
 
     def run_pr():
-        x, count = _pagerank_vector(g, cfg.damping, cfg.tol, cfg.max_iter)
-        iterations["pr"] = count
-        return _as_scores(g, x)
+        x, iterations["pr"] = _pagerank_vector(g, cfg.tol, cfg.max_iter)
+        return x
 
     def run_ec():
         if g.num_edges == 0:
             raise CentralityError("eigenvector centrality needs at least one edge")
-        x, count = _eigenvector_vector(g, cfg.tol, cfg.max_iter)
-        iterations["ec"] = count
-        return _as_scores(g, x)
+        x, iterations["ec"] = _eigenvector_vector(g, cfg.tol, cfg.max_iter)
+        return x
 
     shortest_paths = functools.cache(lambda: _shortest_path_sweep(g))
 
     runners = {
-        "dg": lambda: degree_centrality(g),
-        "cl": lambda: _as_scores(g, shortest_paths()[0]),
-        "bc": lambda: _as_scores(g, shortest_paths()[1]),
+        "dg": lambda: _column(degree_centrality(g)),
+        "cl": lambda: shortest_paths()[0],
+        "bc": lambda: shortest_paths()[1],
         "hits": run_hits,
         "pr": run_pr,
         "ec": run_ec,
-        "cc": lambda: communicability_centrality(g, cfg.approximate_communicability),
-        "lc": lambda: _as_scores(g, shortest_paths()[2]),
+        "cc": lambda: _column(communicability_centrality(g, cfg.approximate_communicability)),
+        "lc": lambda: shortest_paths()[2],
     }
     for measure in (m for m in MEASURES if m in measures):
         run(measure, runners[measure])
-    table.provenance = {"iterations": iterations, "seconds": seconds}
-    _validate_table(g, table)
+    table = CentralityTable(
+        g.nodes, values, tuple(present), hub, failures,
+        {"iterations": iterations, "seconds": seconds},
+    )
+    _validate_table(table)
     return table

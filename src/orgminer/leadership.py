@@ -50,13 +50,13 @@ class RankedList:
 
 
 def rank_nodes(table: CentralityTable, measure: str) -> RankedList:
-    if measure not in table.scores:
+    """Nodes by descending score, ties toward the smaller node id."""
+    if measure not in table.measures:
         raise KeyError(f"measure {measure!r} not present in table")
-    scores = table.scores[measure]
-    ordered = sorted(
-        ((v, scores[v]) for v in table.nodes), key=lambda ns: (-ns[1], ns[0])
-    )
-    return RankedList(measure, tuple((int(n), float(s)) for n, s in ordered))
+    scores = table.values[:, MEASURES.index(measure)]
+    nodes = np.array(table.nodes, dtype=np.int64)
+    order = np.lexsort((nodes, -scores))
+    return RankedList(measure, tuple(zip(nodes[order].tolist(), scores[order].tolist())))
 
 
 def precision_at_k(ranked: RankedList, labels: Mapping[int, bool], k: int) -> float:
@@ -119,15 +119,13 @@ def build_instances(
     table: CentralityTable, manager_labels: Mapping[int, bool]
 ) -> list[LabeledInstance]:
     """One instance per labeled node, features in MEASURES column order."""
-    matrix = table.feature_matrix()
     out: list[LabeledInstance] = []
-    for i, node in enumerate(table.nodes):
+    for node, row in zip(table.nodes, table.feature_matrix().tolist()):
         if node not in manager_labels:
             continue
-        row = tuple(float(x) for x in matrix[i])
-        if not all(math.isfinite(x) for x in row):
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"non-finite feature for node {node}")
-        out.append(LabeledInstance(node, row, bool(manager_labels[node])))
+        out.append(LabeledInstance(node, tuple(row), bool(manager_labels[node])))
     return out
 
 
@@ -357,120 +355,3 @@ def hidden_table_bytes(report: HiddenManagerReport) -> bytes:
         f"{report.hidden_count},{report.hidden_fraction!r}",
     ]
     return ("\n".join(lines) + "\n").encode()
-
-
-# -- labeling the rest of the graph ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class Prediction:
-    node: int
-    is_manager: bool
-    score: float
-
-
-@dataclass(frozen=True)
-class ClassifyAllResult:
-    classifier: str
-    predictions: tuple[Prediction, ...]
-    labeled_total: int
-    labeled_managers: int
-    management_fraction: float
-
-
-def classify_all(
-    kind: str,
-    table: CentralityTable,
-    manager_labels: Mapping[int, bool],
-    seed: int = 0,
-) -> ClassifyAllResult:
-    """Train on labeled nodes, predict every unlabeled node.
-
-    The management fraction estimate combines known and predicted
-    manager counts over the whole node set.
-    """
-    labeled = [v for v in table.nodes if v in manager_labels]
-    if not labeled:
-        raise ValueError("no labeled nodes to train on")
-    values = {bool(manager_labels[v]) for v in labeled}
-    if len(values) < 2:
-        raise ValueError("labeled nodes cover a single class")
-    matrix = table.feature_matrix()
-    index = {v: i for i, v in enumerate(table.nodes)}
-    X_train = matrix[[index[v] for v in labeled]]
-    y_train = np.array([1 if manager_labels[v] else 0 for v in labeled])
-    model = make_classifier(kind, seed=seed)
-    model.fit(X_train, y_train)
-    unlabeled = [v for v in table.nodes if v not in manager_labels]
-    predictions: list[Prediction] = []
-    if unlabeled:
-        X_new = matrix[[index[v] for v in unlabeled]]
-        score = model.scores(X_new)
-        pred = model.labels(score)
-        predictions = [
-            Prediction(v, bool(pred[i]), float(score[i]))
-            for i, v in enumerate(unlabeled)
-        ]
-    known_managers = int(y_train.sum())
-    predicted_managers = sum(1 for p in predictions if p.is_manager)
-    fraction = (known_managers + predicted_managers) / len(table.nodes)
-    return ClassifyAllResult(
-        classifier=kind,
-        predictions=tuple(predictions),
-        labeled_total=len(labeled),
-        labeled_managers=known_managers,
-        management_fraction=fraction,
-    )
-
-
-# -- optional significance report -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairedComparison:
-    classifier_a: str
-    classifier_b: str
-    mean_difference: float
-    t_statistic: float
-    p_value: float
-    significant: bool
-
-
-def paired_fold_comparison(
-    instances: Sequence[LabeledInstance],
-    kinds: Sequence[str],
-    folds: int = 10,
-    seed: int = 0,
-    alpha: float = 0.05,
-) -> tuple[PairedComparison, ...]:
-    """Paired t-test on per-fold accuracies for every classifier pair."""
-    from scipy.stats import ttest_rel  # deferred: scipy.stats is slow to import
-
-    rows = {kind: cross_validate(kind, instances, folds, seed) for kind in kinds}
-    out: list[PairedComparison] = []
-    for i, a in enumerate(kinds):
-        for b in kinds[i + 1 :]:
-            acc_a = np.asarray(rows[a].fold_accuracies)
-            acc_b = np.asarray(rows[b].fold_accuracies)
-            diff = acc_a - acc_b
-            if np.isclose(float(diff.std()), 0.0):
-                # zero variance: flat tie is insignificant, a constant
-                # nonzero gap is maximally significant
-                if np.isclose(float(diff.mean()), 0.0):
-                    t_stat, p_value = 0.0, 1.0
-                else:
-                    t_stat = math.copysign(math.inf, float(diff.mean()))
-                    p_value = 0.0
-            else:
-                t_stat, p_value = ttest_rel(acc_a, acc_b)
-            out.append(
-                PairedComparison(
-                    a,
-                    b,
-                    float(diff.mean()),
-                    float(t_stat),
-                    float(p_value),
-                    bool(p_value < alpha),
-                )
-            )
-    return tuple(out)

@@ -119,10 +119,6 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def short_hash(data: bytes, length: int = 16) -> str:
-    return content_hash(data)[:length]
-
-
 def apportion(total: int, weights: Sequence[float]) -> list[int]:
     """Split ``total`` into integer parts proportional to ``weights``.
 

@@ -14,6 +14,7 @@ from orgminer import (
     CentralityError,
     CentralityTable,
     ConvergenceError,
+    GraphError,
     MEASURES,
     SocialGraph,
     betweenness_centrality,
@@ -305,6 +306,20 @@ def test_table_csv_round_trip():
     assert back.hub_scores == table.hub_scores
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("node,dg,cl\n0,0.5,1.0\n1,0.5\n", "row 2 has 2 cells"),
+        ("node,dg\n0,0.5\n1,0.5\n0,0.25\n", "lists a node twice"),
+        ("node,dg\n0,0.5\n9223372036854775808,0.5\n", "9223372036854775808 does not fit"),
+        ("node,dg,katz\n0,0.5,1.0\n", "unknown measures"),
+    ],
+)
+def test_malformed_table_is_a_typed_error(text, message):
+    with pytest.raises(GraphError, match=message):
+        CentralityTable.from_csv_bytes(text.encode())
+
+
 def test_feature_matrix_column_order():
     g = random_graph(7, 9, 0.4)
     table = centrality_table(g)
@@ -373,6 +388,33 @@ def test_communicability_over_budget_fails_before_any_dense_allocation(monkeypat
     assert peak < g.num_nodes**2 * 8
     config = CentralityConfig(approximate_communicability=True)
     assert not centrality_table(g, config, measures=("cc",)).failures
+
+
+@pytest.mark.parametrize("path", ["dense", "lanczos"])
+def test_communicability_overflow_is_a_failure_not_inf(monkeypatch, path):
+    # K_712 has lambda_max = 711 > ln(max float) ~ 709.78, so e^711 is inf
+    g = complete_graph(712)
+    config = CentralityConfig(approximate_communicability=path == "lanczos")
+    if path == "lanczos":
+        monkeypatch.setattr(centrality, "_DENSE_BUDGET", 0)
+    with pytest.raises(CentralityError, match="overflows float64"):
+        communicability_centrality(g, config.approximate_communicability)
+    table = centrality_table(g, config, measures=("cc",))
+    assert "overflows float64" in table.failures["cc"]
+    assert table.measures == ()
+    assert b"inf" not in table.to_csv_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validation_rejects_a_non_finite_score(bad):
+    table = centrality_table(random_graph(2, 9, 0.4))
+    centrality._validate_table(table)
+    for j, measure in enumerate(MEASURES):
+        column = table.values[:, j].copy()
+        table.values[3, j] = bad
+        with pytest.raises(CentralityError, match=f"{measure} has a non-finite score"):
+            centrality._validate_table(table)
+        table.values[:, j] = column
 
 
 def test_import_loads_neither_scipy_linalg_nor_scipy_stats():

@@ -5,9 +5,10 @@ on a materialized bootstrap with one sort per candidate feature, a full
 lexsort for the nearest neighbours, a greedy-modularity heap that holds
 every adjacent pair, the world generator's scalar pair decoder and
 rejection sampler, a social graph of per-node adjacency sets and an
-edge-tuple set, and a shortest-path sweep that kept every BFS distance and
-one predecessor-count array per level. The kernels must give the same
-bits.
+edge-tuple set, a shortest-path sweep that kept every BFS distance and
+one predecessor-count array per level, and a centrality table of
+per-measure dicts with a ranking sorted in Python. The kernels must give
+the same bits.
 """
 
 from __future__ import annotations
@@ -15,13 +16,32 @@ from __future__ import annotations
 import heapq
 import math
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from orgminer import GraphError, SocialGraph, classifiers
+from orgminer import (
+    MEASURES,
+    CentralityError,
+    CentralityTable,
+    GraphError,
+    RankedList,
+    SocialGraph,
+    betweenness_centrality,
+    centrality_table,
+    classifiers,
+    closeness_centrality,
+    communicability_centrality,
+    degree_centrality,
+    eigenvector_centrality,
+    hits,
+    load_centrality,
+    pagerank,
+    rank_nodes,
+)
 from orgminer.centrality import _shortest_path_sweep
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
 from orgminer.community import MergeStep, detect_communities
@@ -578,3 +598,147 @@ def test_crawl_sized_world_graph_holds_under_half_the_set_based_memory():
         tracemalloc.stop()
     assert g.num_edges == len(edges)
     assert live < 23.3e6 / 2
+
+
+# -- centrality table ------------------------------------------------------------------
+
+
+@dataclass
+class RefTable:
+    """The table as one dict of node -> score per measure, the hub vector as
+    a dict, and a feature matrix rebuilt column by column on each call."""
+
+    nodes: tuple[int, ...]
+    scores: dict[str, dict[int, float]]
+    hub_scores: dict[int, float] | None = None
+    failures: dict[str, str] = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
+
+    @property
+    def measures(self) -> tuple[str, ...]:
+        return tuple(m for m in MEASURES if m in self.scores)
+
+    def feature_matrix(self) -> np.ndarray:
+        if self.failures:
+            raise CentralityError(f"table is partial; failed measures: {sorted(self.failures)}")
+        out = np.empty((len(self.nodes), len(MEASURES)))
+        for j, measure in enumerate(MEASURES):
+            column = self.scores[measure]
+            out[:, j] = [column[v] for v in self.nodes]
+        return out
+
+    def to_csv_bytes(self) -> bytes:
+        columns = list(self.measures)
+        header = ["node"] + columns + (["hits_hub"] if self.hub_scores else [])
+        lines = [",".join(header)]
+        for v in self.nodes:
+            row = [str(v)] + [repr(self.scores[m][v]) for m in columns]
+            if self.hub_scores:
+                row.append(repr(self.hub_scores[v]))
+            lines.append(",".join(row))
+        iteration_notes = self.provenance.get("iterations", {})
+        if iteration_notes:
+            noted = " ".join(f"{m}={iteration_notes[m]}" for m in sorted(iteration_notes))
+            lines.append(f"# iterations: {noted}")
+        for measure in sorted(self.failures):
+            lines.append(f"# failed: {measure}: {self.failures[measure]}")
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @classmethod
+    def from_csv_bytes(cls, data: bytes) -> "RefTable":
+        lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip() and not ln.startswith("#")]
+        header = lines[0].split(",")
+        measure_cols = [h for h in header[1:] if h != "hits_hub"]
+        nodes = []
+        scores: dict[str, dict[int, float]] = {m: {} for m in measure_cols}
+        hub: dict[int, float] = {}
+        for line in lines[1:]:
+            cells = line.split(",")
+            v = int(cells[0])
+            nodes.append(v)
+            for name, cell in zip(header[1:], cells[1:]):
+                if name == "hits_hub":
+                    hub[v] = float(cell)
+                else:
+                    scores[name][v] = float(cell)
+        failures = {m: "absent from table" for m in MEASURES if m not in measure_cols}
+        return cls(tuple(nodes), scores, hub or None, failures)
+
+
+def ref_rank_nodes(table: RefTable, measure: str) -> RankedList:
+    scores = table.scores[measure]
+    ordered = sorted(((v, scores[v]) for v in table.nodes), key=lambda ns: (-ns[1], ns[0]))
+    return RankedList(measure, tuple((int(n), float(s)) for n, s in ordered))
+
+
+def ref_centrality_table(g: SocialGraph, measures, provenance: dict) -> RefTable:
+    """Each measure from its public dict-valued function, at the defaults."""
+    solvers = {
+        "dg": degree_centrality, "cl": closeness_centrality,
+        "bc": betweenness_centrality, "hits": hits, "pr": pagerank,
+        "ec": eigenvector_centrality, "cc": communicability_centrality,
+        "lc": load_centrality,
+    }
+    table = RefTable(g.nodes, {}, provenance=provenance)
+    for measure in (m for m in MEASURES if m in measures):
+        try:
+            result = solvers[measure](g)
+        except CentralityError as exc:
+            table.failures[measure] = str(exc)
+        else:
+            if measure == "hits":
+                table.scores["hits"], table.hub_scores = result
+            else:
+                table.scores[measure] = result
+    return table
+
+
+def _exact(ranked: RankedList) -> list[tuple[int, str]]:
+    return [(type(n).__name__ + str(n), s.hex()) for n, s in ranked.entries]  # keeps -0.0
+
+
+def _assert_tables_agree(table: CentralityTable, ref: RefTable) -> None:
+    assert table.nodes == ref.nodes
+    assert table.measures == ref.measures
+    assert table.failures == ref.failures
+    assert table.hub_scores == ref.hub_scores
+    assert table.to_csv_bytes() == ref.to_csv_bytes()
+    for measure in table.measures:
+        assert _exact(rank_nodes(table, measure)) == _exact(ref_rank_nodes(ref, measure))
+    try:
+        want = ref.feature_matrix()
+    except (CentralityError, KeyError):
+        with pytest.raises(CentralityError):
+            table.feature_matrix()
+    else:
+        assert table.feature_matrix().tobytes() == want.tobytes()
+
+
+@given(small_graphs(max_nodes=10), st.sets(st.sampled_from(MEASURES), min_size=1))
+@example(SocialGraph(range(4), []), set(MEASURES))  # edgeless: ec fails
+@example(SocialGraph(range(5), [(0, 1), (2, 3)]), set(MEASURES))  # tied scores
+def test_centrality_table_matches_dict_reference(g, measures):
+    table = centrality_table(g, measures=measures)
+    ref = ref_centrality_table(g, measures, {"iterations": table.provenance["iterations"]})
+    _assert_tables_agree(table, ref)
+    data = table.to_csv_bytes()
+    _assert_tables_agree(CentralityTable.from_csv_bytes(data), RefTable.from_csv_bytes(data))
+
+
+@st.composite
+def tied_tables(draw):
+    """Dict tables over unordered node ids whose scores come from a pool of
+    six values, -0.0 and 0.0 among them, so most ranks are decided by ties."""
+    nodes = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=12, unique=True))
+    measures = draw(st.sets(st.sampled_from(MEASURES), min_size=1))
+    pool = st.sampled_from((0.0, -0.0, 1.0, 0.5, -2.5, 5e-324))
+    scores = {m: {v: draw(pool) for v in nodes} for m in measures}
+    hub = {v: draw(pool) for v in nodes} if draw(st.booleans()) else None
+    return RefTable(tuple(nodes), scores, hub)
+
+
+@given(tied_tables())
+@example(RefTable((3, 1, 2), {m: {3: 0.0, 1: -0.0, 2: 0.0} for m in MEASURES}, None))
+def test_table_read_from_csv_matches_dict_reference(ref):
+    data = ref.to_csv_bytes()
+    _assert_tables_agree(CentralityTable.from_csv_bytes(data), RefTable.from_csv_bytes(data))

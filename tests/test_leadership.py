@@ -11,17 +11,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orgminer import (
+    MEASURES,
     CentralityConfig,
     UnlabeledNodesError,
     auc_rank_statistic,
     build_instances,
     centrality_table,
-    classify_all,
     cross_validate,
     evaluate,
     generate_world,
     hidden_manager_report,
-    paired_fold_comparison,
     precision_at_k,
     rank_nodes,
     stratified_folds,
@@ -297,61 +296,9 @@ def test_report_table_emitters(world_instances):
     assert hid.splitlines()[1].startswith("cl,20,")
 
 
-# -- classify-all ----------------------------------------------------------------
-
-
-def test_classify_all_labels_everyone(world_instances):
-    world, table, _ = world_instances
-    members = sorted(world.truth.all_members())
-    known = {v: v in world.truth.managers for v in members[: len(members) // 2]}
-    result = classify_all("logistic", table, known, seed=0)
-    predicted_nodes = {p.node for p in result.predictions}
-    assert predicted_nodes == set(table.nodes) - set(known)
-    assert result.labeled_total == len(known)
-    found = sum(p.is_manager for p in result.predictions)
-    expect = (sum(known.values()) + found) / len(table.nodes)
-    assert result.management_fraction == pytest.approx(expect)
-
-
-def test_classify_all_needs_two_classes(world_instances):
-    _, table, _ = world_instances
-    with pytest.raises(ValueError):
-        classify_all("logistic", table, {}, seed=0)
-    one_class = {table.nodes[0]: True, table.nodes[1]: True}
-    with pytest.raises(ValueError):
-        classify_all("logistic", table, one_class, seed=0)
-
-
-# -- paired comparison -----------------------------------------------------------
-
-
-def test_paired_fold_comparison_zero_r_vs_itself(world_instances):
-    _, _, instances = world_instances
-    (cmp_row,) = paired_fold_comparison(instances, ("zero-r", "zero-r"), folds=5)
-    assert cmp_row.mean_difference == 0.0
-    assert cmp_row.p_value == 1.0
-    assert not cmp_row.significant
-
-
-def test_paired_fold_comparison_detects_real_gap():
-    # Larger world: the per-fold accuracy gap must dominate its variance.
-    world = generate_world(leadership_world_spec(1, size=300))
-    members = sorted(world.truth.all_members())
-    table = centrality_table(world.graph.subgraph(members),
-                             CentralityConfig(tol=1e-10, max_iter=100000))
-    instances = build_instances(
-        table, {v: v in world.truth.managers for v in members}
-    )
-    (cmp_row,) = paired_fold_comparison(
-        instances, ("random-forest", "zero-r"), folds=10
-    )
-    assert cmp_row.mean_difference > 0
-    assert cmp_row.significant
-
-
 def test_build_instances_rejects_nonfinite_features():
     table = centrality_table(random_graph(1, 8, 0.4))
-    table.scores["dg"][table.nodes[0]] = float("nan")
+    table.values[0, MEASURES.index("dg")] = float("nan")
     with pytest.raises(ValueError):
         build_instances(table, {v: False for v in table.nodes})
 

@@ -10,7 +10,6 @@ from orgminer.utils import (
     content_hash,
     derive_seed,
     gc_paused,
-    short_hash,
     stable_json,
     write_bytes_atomic,
 )
@@ -37,8 +36,6 @@ def test_stable_json_sorts_keys_and_strips_whitespace():
 def test_content_hash_is_sha256_hex():
     h = content_hash(b"abc")
     assert h == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    assert short_hash(b"abc") == h[:16]
-    assert short_hash(b"abc", 8) == h[:8]
 
 
 def test_apportion_exact_split():
