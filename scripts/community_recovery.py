@@ -54,9 +54,7 @@ def main() -> int:
         truth_assignment = {v: world.truth.node_community[v] for v in members}
         ari = adjusted_rand_index(partition.assignment, truth_assignment)
         good_ari += ari > 0.8
-        roles = infer_roles(
-            g, partition, {v: (v in world.truth.managers) for v in members}
-        )
+        roles = infer_roles(g, partition)
         planted = {
             info.community: (info.category, info.location)
             for info in world.truth.communities.values()

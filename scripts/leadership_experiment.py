@@ -71,10 +71,10 @@ def main() -> int:
         p20 = precision_at_k(ranked, labels, 20)
         p20s.append(p20)
         base = sum(labels.values()) / len(labels)
-        instances = build_instances(table, labels)
+        X, y = build_instances(table, labels)
         cells = []
         for kind in kinds:
-            row = cross_validate(kind, instances, folds=args.folds, seed=seed)
+            row = cross_validate(kind, X, y, folds=args.folds, seed=seed)
             aucs[kind].append(row.auc)
             cells.append(f"{row.auc:.4f}")
         print(f"{seed},{base:.4f},{p10:.4f},{p20:.4f}," + ",".join(cells))

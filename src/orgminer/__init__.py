@@ -74,7 +74,6 @@ from .graph import (
 from .leadership import (
     EvalReport,
     HiddenManagerReport,
-    LabeledInstance,
     RankedList,
     UnlabeledNodesError,
     auc_rank_statistic,

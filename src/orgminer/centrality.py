@@ -16,11 +16,10 @@ Measures and conventions (n = node count, scores keyed by node id):
 * ``ec``  dominant adjacency eigenvector, nonnegative, unit Euclidean
   norm, power iteration from all-ones (same identity shift).
 * ``cc``  communicability (subgraph) centrality diag(expm(A)) via dense
-  symmetric eigendecomposition within a fixed memory budget (n <= 7327);
-  above it Lanczos quadrature if ``approximate`` is set, else a
-  ``CentralityError`` naming the bytes needed. A score past the float64
-  range (largest eigenvalue above ln(max float) ~ 709.78) is a
-  ``CentralityError`` too. Isolated nodes score 1.
+  symmetric eigendecomposition within a fixed memory budget (n <= 7327),
+  Lanczos quadrature above it. A score past the float64 range (largest
+  eigenvalue above ln(max float) ~ 709.78) is a ``CentralityError``.
+  Isolated nodes score 1.
 * ``lc``  load centrality: unit packets routed along shortest paths,
   splitting equally at each hop, summed over ordered pairs and
   normalized by (n-1)(n-2).
@@ -33,7 +32,6 @@ runs agree bit for bit on one platform.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,6 +47,7 @@ _DEFAULT_MAX_ITER = 1000
 _BLOCK = 256
 _DENSE_BUDGET = 2**31  # bytes for communicability's dense path; n = 6000 needs 1.44e9
 _LANCZOS_STEPS = 100
+_LANCZOS_TOL = 1e-10  # relative
 _DAMPING = 0.85
 
 
@@ -68,7 +67,6 @@ class ConvergenceError(CentralityError):
 class CentralityConfig:
     tol: float = _DEFAULT_TOL
     max_iter: int = _DEFAULT_MAX_ITER
-    approximate_communicability: bool = False
 
 
 def _as_scores(g: SocialGraph, values: np.ndarray) -> dict[int, float]:
@@ -275,27 +273,18 @@ def hits(
     return _as_scores(g, authority), _as_scores(g, hub)
 
 
-def communicability_centrality(
-    g: SocialGraph, approximate: bool = False, tol: float = 1e-10
-) -> dict[int, float]:
+def communicability_centrality(g: SocialGraph) -> dict[int, float]:
     """diag(expm(A)) per node (Estrada & Rodriguez-Velazquez 2005), by dense
-    eigendecomposition while its working set fits ``_DENSE_BUDGET`` bytes.
-    Above the budget, ``approximate=True`` runs Lanczos quadrature
-    (Golub & Meurant) to ``tol`` relative; without it a ``CentralityError``
-    names the bytes needed before any n x n array exists. Isolated nodes
-    score exactly 1 either way. A score that overflows float64 is a
-    ``CentralityError``, on either path."""
+    eigendecomposition while its working set fits ``_DENSE_BUDGET`` bytes,
+    above it by Lanczos quadrature (Golub & Meurant) to ``_LANCZOS_TOL``
+    relative, with no n x n array. Isolated nodes score exactly 1 either
+    way. A score that overflows float64 is a ``CentralityError``, on either
+    path."""
     n = g.num_nodes
     # five n x n float64 arrays: A, LAPACK's copy, syevd's 2n^2 workspace and
     # the eigenvectors (5.1 n^2 x 8 bytes of RSS measured at n=3000)
-    needed = 40 * n * n
-    if needed > _DENSE_BUDGET:
-        if not approximate:
-            raise CentralityError(
-                f"dense communicability of {n} nodes needs {needed} bytes, "
-                f"above the {_DENSE_BUDGET}-byte budget; pass approximate=True"
-            )
-        x = _lanczos_communicability(g.adjacency_matrix(), tol)
+    if 40 * n * n > _DENSE_BUDGET:
+        x = _lanczos_communicability(g.adjacency_matrix())
     else:
         dense = g.adjacency_matrix().toarray()
         eigenvalues, vectors = np.linalg.eigh(dense)
@@ -308,13 +297,13 @@ def communicability_centrality(
     return _as_scores(g, x)
 
 
-def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
+def _lanczos_communicability(A: sp.csr_array) -> np.ndarray:
     """e_i' expm(A) e_i by Lanczos from e_i, one column per node and
     ``_BLOCK`` columns at a time. After k steps the estimate is
     e_1' expm(T_k) e_1, from one ``eigh`` of the live columns' stacked k x k
-    tridiagonals. A column stops when its estimate moves by at most ``tol``
-    relative, when its Krylov space is exhausted (beta = 0, exact), or when
-    it overflows."""
+    tridiagonals. A column stops when its estimate moves by at most
+    ``_LANCZOS_TOL`` relative, when its Krylov space is exhausted (beta = 0,
+    exact), or when it overflows."""
     n = A.shape[0]
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
@@ -336,7 +325,7 @@ def _lanczos_communicability(A: sp.csr_array, tol: float) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):  # the caller raises
                 step = np.einsum("ij,ij->i", U[:, 0, :] ** 2, np.exp(theta))
                 done = (betas[:, k] <= 1e-12) | ~np.isfinite(step)
-                done |= np.abs(step - last) <= tol * np.maximum(1.0, np.abs(step))
+                done |= np.abs(step - last) <= _LANCZOS_TOL * np.maximum(1.0, np.abs(step))
             out[live[done]] = step[done]
             keep = np.flatnonzero(~done)
             if not keep.size:
@@ -361,8 +350,8 @@ class CentralityTable:
     ``values`` is one float64 array of shape n x len(MEASURES): row i holds
     ``nodes[i]`` and column j holds ``MEASURES[j]``. Only the columns named
     in ``measures`` hold scores; a measure that failed (no edges for ``ec``,
-    a solver out of iterations, communicability over its budget or past the
-    float64 range) is a ``failures`` entry and its column is NaN filler.
+    a solver out of iterations, Lanczos out of steps, communicability past
+    the float64 range) is a ``failures`` entry and its column is NaN filler.
     The ``hits`` column is the authority vector; ``hub`` is the hub vector in
     row order, or None. ``scores`` and ``hub_scores`` are dicts keyed by
     node, built from the array on each access.
@@ -481,7 +470,7 @@ def centrality_table(
     """Compute the requested measures, recording failures instead of dying.
 
     A measure that cannot be computed (no edges for ``ec``, solver ran out
-    of iterations, dense budget exceeded, communicability overflow) becomes
+    of iterations, Lanczos out of steps, communicability overflow) becomes
     a ``failures`` entry; the table keeps every measure that did succeed.
     """
     if g.num_nodes == 0:
@@ -495,17 +484,14 @@ def centrality_table(
     hub = None
     failures: dict[str, str] = {}
     iterations: dict[str, int] = {}
-    seconds: dict[str, float] = {}
 
     def run(measure: str, fn):
-        started = time.perf_counter()
         try:
             values[:, MEASURES.index(measure)] = fn()
         except CentralityError as exc:
             failures[measure] = str(exc)
         else:
             present.append(measure)
-        seconds[measure] = time.perf_counter() - started
 
     def run_hits():
         nonlocal hub
@@ -531,14 +517,14 @@ def centrality_table(
         "hits": run_hits,
         "pr": run_pr,
         "ec": run_ec,
-        "cc": lambda: _column(communicability_centrality(g, cfg.approximate_communicability)),
+        "cc": lambda: _column(communicability_centrality(g)),
         "lc": lambda: shortest_paths()[2],
     }
     for measure in (m for m in MEASURES if m in measures):
         run(measure, runners[measure])
     table = CentralityTable(
         g.nodes, values, tuple(present), hub, failures,
-        {"iterations": iterations, "seconds": seconds},
+        {"iterations": iterations},
     )
     _validate_table(table)
     return table

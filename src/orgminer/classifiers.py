@@ -118,12 +118,6 @@ class ZeroR(BaseClassifier):
     name = "zero-r"
     strict_majority = True
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "ZeroR":
-        X, y = _check_training(X, y)
-        self._fit(X, y)
-        self._trained = True
-        return self
-
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self._rate = float(y.mean())
 

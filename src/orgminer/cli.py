@@ -130,11 +130,7 @@ def _cmd_crawl(args) -> int:
 
 def _cmd_centrality(args) -> int:
     graph = _load_graph_args(args)
-    config = CentralityConfig(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        approximate_communicability=args.approximate_cc,
-    )
+    config = CentralityConfig(tol=args.tol, max_iter=args.max_iter)
     measures = _str_list(args.measures) if args.measures != "all" else MEASURES
     table = centrality_table(graph, config, measures=measures)
     write_bytes_atomic(args.out, table.to_csv_bytes())
@@ -181,11 +177,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_communities(args) -> int:
     graph = _load_graph_args(args)
-    managers = None
-    if args.labels:
-        managers, _ = label_maps(load_labels(args.labels))
     rules = load_role_rules(args.rules) if args.rules else None
-    partition, files = community_artifacts(graph, managers, rules)
+    partition, files = community_artifacts(graph, rules)
     write_bytes_atomic(args.out_partition, files["communities.csv"])
     write_bytes_atomic(args.out_report, files["community_report.csv"])
     print(f"communities: {len(partition)} at Q={partition.q:.4f}")
@@ -304,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", default="all", help="comma-separated subset")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--approximate-cc", action="store_true")
     p.set_defaults(fn=_cmd_centrality)
 
     p = sub.add_parser("rank", help="top-k precision and hidden-manager report")
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("communities", help="detect communities and infer roles")
     p.add_argument("--edges", required=True)
     p.add_argument("--profiles")
-    p.add_argument("--labels")
     p.add_argument("--rules", help="alternative role-rule JSON file")
     p.add_argument("--out-partition", required=True)
     p.add_argument("--out-report", required=True)

@@ -126,10 +126,7 @@ def modularity(g: SocialGraph, assignment: Mapping[int, int]) -> float:
     m = g.num_edges
     if m == 0:
         return 0.0
-    internal: Counter[int] = Counter()
-    for u, v in g.edges():
-        if assignment[u] == assignment[v]:
-            internal[assignment[u]] += 1
+    internal = _internal_link_counts(g, assignment)
     degree_sum: Counter[int] = Counter()
     for v in g.nodes:
         degree_sum[assignment[v]] += g.degree(v)
@@ -137,6 +134,16 @@ def modularity(g: SocialGraph, assignment: Mapping[int, int]) -> float:
     for comm in sorted(degree_sum):
         q += internal.get(comm, 0) / m - (degree_sum[comm] / (2.0 * m)) ** 2
     return q
+
+
+def _internal_link_counts(
+    g: SocialGraph, assignment: Mapping[int, int]
+) -> Counter[int]:
+    counts: Counter[int] = Counter()
+    for u, v in g.edges():
+        if assignment[u] == assignment[v]:
+            counts[assignment[u]] += 1
+    return counts
 
 
 def _renumber(raw: Mapping[int, int]) -> dict[int, int]:
@@ -244,16 +251,22 @@ def adjusted_rand_index(a: Mapping[int, int], b: Mapping[int, int]) -> float:
 # -- role inference and reporting --------------------------------------------------
 
 
+# a community's vote is trusted with at least this many voters and winning share
+_MIN_LABELED = 3
+_MIN_SUPPORT = 0.3
+
+
 @dataclass(frozen=True)
 class CommunityRole:
     community: int
     size: int
     internal_links: int
+    disclosed_positions: int
+    classified_positions: int
     position: str | None
     position_support: float
     location: str | None
     location_support: float
-    manager_count: int
     low_confidence: bool
 
 
@@ -261,34 +274,21 @@ def _majority(votes: Counter[str]) -> tuple[str | None, int]:
     if not votes:
         return None, 0
     # highest count, lexicographically smallest label on ties
-    best = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-    return best
-
-
-def _internal_link_counts(
-    g: SocialGraph, assignment: Mapping[int, int]
-) -> Counter[int]:
-    counts: Counter[int] = Counter()
-    for u, v in g.edges():
-        if assignment[u] == assignment[v]:
-            counts[assignment[u]] += 1
-    return counts
+    return min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def infer_roles(
     g: SocialGraph,
     partition: Partition,
-    manager_labels: Mapping[int, bool] | None = None,
-    min_support: float = 0.3,
-    min_labeled: int = 3,
     rules: Sequence[RoleRule] | None = None,
 ) -> list[CommunityRole]:
     """Majority-vote a category and location for every community.
 
-    Votes come from members whose profile carries the relevant text.
+    Votes come from members whose profile carries the relevant text;
+    positions are classified with ``rules``, the bundled table by default.
     Support is the winner's share of cast votes; a community is flagged
-    low-confidence when either vote has fewer than `min_labeled` voters
-    or a winning share below `min_support`.
+    low-confidence when either vote has fewer than ``_MIN_LABELED`` voters
+    or a winning share below ``_MIN_SUPPORT``.
     """
     links = _internal_link_counts(g, partition.assignment)
     out: list[CommunityRole] = []
@@ -296,15 +296,10 @@ def infer_roles(
         position_votes: Counter[str] = Counter()
         position_voters = 0
         location_votes: Counter[str] = Counter()
-        managers = 0
         for v in members:
             profile = g.profile(v)
             if profile is None:
                 continue
-            if manager_labels is not None and v in manager_labels:
-                managers += 1 if manager_labels[v] else 0
-            elif profile.is_manager:
-                managers += 1
             if profile.position is not None:
                 position_voters += 1
                 category = normalize_position(profile.position, rules)
@@ -318,21 +313,22 @@ def infer_roles(
         position_support = position_count / position_voters if position_voters else 0.0
         location_support = location_count / location_voters if location_voters else 0.0
         low_confidence = (
-            position_voters < min_labeled
-            or position_support < min_support
-            or location_voters < min_labeled
-            or location_support < min_support
+            position_voters < _MIN_LABELED
+            or position_support < _MIN_SUPPORT
+            or location_voters < _MIN_LABELED
+            or location_support < _MIN_SUPPORT
         )
         out.append(
             CommunityRole(
                 community=comm,
                 size=len(members),
                 internal_links=links.get(comm, 0),
+                disclosed_positions=position_voters,
+                classified_positions=sum(position_votes.values()),
                 position=position,
                 position_support=position_support,
                 location=location,
                 location_support=location_support,
-                manager_count=managers,
                 low_confidence=low_confidence,
             )
         )
@@ -349,40 +345,23 @@ class CommunityReportRow:
     description: str
 
 
-def community_report(
-    g: SocialGraph,
-    partition: Partition,
-    roles: Sequence[CommunityRole],
-    rules: Sequence[RoleRule] | None = None,
-) -> tuple[CommunityReportRow, ...]:
-    """One row per community: sizes, link counts, and the inferred role.
-    Positions are classified with ``rules``, the bundled table by default."""
-    role_by_comm = {role.community: role for role in roles}
-    links = _internal_link_counts(g, partition.assignment)
+def community_report(roles: Sequence[CommunityRole]) -> tuple[CommunityReportRow, ...]:
+    """One row per community: sizes, link and position counts, and the
+    inferred role, or "unclassified" when its vote is not trusted."""
     rows: list[CommunityReportRow] = []
-    for comm, members in partition.communities().items():
-        disclosed = 0
-        classified = 0
-        for v in members:
-            profile = g.profile(v)
-            if profile is None or profile.position is None:
-                continue
-            disclosed += 1
-            if normalize_position(profile.position, rules) is not None:
-                classified += 1
-        role = role_by_comm.get(comm)
-        if role is None or role.low_confidence or role.position is None:
+    for role in roles:
+        if role.low_confidence or role.position is None:
             description = "unclassified (low confidence)"
         else:
             where = role.location if role.location is not None else "unknown location"
             description = f"{role.position} / {where}"
         rows.append(
             CommunityReportRow(
-                community=comm,
-                size=len(members),
-                internal_links=links.get(comm, 0),
-                disclosed_positions=disclosed,
-                classified_positions=classified,
+                community=role.community,
+                size=role.size,
+                internal_links=role.internal_links,
+                disclosed_positions=role.disclosed_positions,
+                classified_positions=role.classified_positions,
                 description=description,
             )
         )

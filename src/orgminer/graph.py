@@ -290,22 +290,44 @@ def profile_to_dict(p: Profile) -> dict:
     return out
 
 
+_TEXT, _FLAG = ((str, type(None)), "a string or null"), ((bool, type(None)), "a bool or null")
+_PROFILE_TYPES = {
+    "name": _TEXT, "position": _TEXT, "location": _TEXT,
+    "employers": ((list,), "a list of strings"),
+    "is_org_member": _FLAG, "is_manager": _FLAG,
+    "discloses_position": ((bool,), "a bool"),
+}
+
+
 def profile_from_dict(d: Mapping) -> Profile:
+    """Decode a profile record. Keys starting with ``_`` are ignored; an
+    unknown or missing key, or a value of the wrong JSON type, is a
+    ``GraphError``."""
     unknown = set(d) - set(Profile.__dataclass_fields__)
     unknown = {k for k in unknown if not k.startswith("_")}
     if unknown:
         raise GraphError(f"unknown profile fields {sorted(unknown)}")
     if "node" not in d:
         raise GraphError("profile record lacks a node id")
+    node = d["node"]
+    if type(node) is not int:  # not a bool or a float either
+        raise GraphError(f"profile node id must be an int, not {node!r}")
+    for key, value in d.items():
+        if key in _PROFILE_TYPES:
+            types, expected = _PROFILE_TYPES[key]
+            if not isinstance(value, types) or (
+                key == "employers" and not all(isinstance(e, str) for e in value)
+            ):
+                raise GraphError(f"profile {node}: {key} must be {expected}, not {value!r}")
     return Profile(
-        node=int(d["node"]),
+        node=node,
         name=d.get("name"),
         employers=tuple(d.get("employers", ())),
         position=d.get("position"),
         location=d.get("location"),
         is_org_member=d.get("is_org_member"),
         is_manager=d.get("is_manager"),
-        discloses_position=bool(d.get("discloses_position", False)),
+        discloses_position=d.get("discloses_position", False),
     )
 
 

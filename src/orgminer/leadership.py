@@ -16,7 +16,6 @@ report is a pure function of (scores, labels, seed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -108,32 +107,17 @@ def hidden_manager_report(
 # -- classifier instances and metrics -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
-    node: int
-    features: tuple[float, ...]
-    is_manager: bool
-
-
 def build_instances(
     table: CentralityTable, manager_labels: Mapping[int, bool]
-) -> list[LabeledInstance]:
-    """One instance per labeled node, features in MEASURES column order."""
-    out: list[LabeledInstance] = []
-    for node, row in zip(table.nodes, table.feature_matrix().tolist()):
-        if node not in manager_labels:
-            continue
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"non-finite feature for node {node}")
-        out.append(LabeledInstance(node, tuple(row), bool(manager_labels[node])))
-    return out
-
-
-def instances_to_arrays(
-    instances: Sequence[LabeledInstance],
 ) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([inst.features for inst in instances], dtype=np.float64)
-    y = np.array([1 if inst.is_manager else 0 for inst in instances], dtype=np.int64)
+    """The feature rows (MEASURES column order) of the labeled nodes, in
+    table order, and their 0/1 manager labels."""
+    labeled = [i for i, v in enumerate(table.nodes) if v in manager_labels]
+    X = table.feature_matrix()[labeled]
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite feature for node {table.nodes[labeled[bad[0]]]}")
+    y = np.array([bool(manager_labels[table.nodes[i]]) for i in labeled], dtype=np.int64)
     return X, y
 
 
@@ -218,14 +202,10 @@ class CrossValidationRow:
     auc: float
     folds: int
     fallback_folds: int
-    fold_accuracies: tuple[float, ...]
 
 
 def cross_validate(
-    kind: str,
-    instances: Sequence[LabeledInstance],
-    folds: int = 10,
-    seed: int = 0,
+    kind: str, X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 0
 ) -> CrossValidationRow:
     """Held-out metrics over a stratified fold split.
 
@@ -234,13 +214,11 @@ def cross_validate(
     all ties, so its AUC is exactly 0.5; pooling instead would let
     between-fold prevalence differences leak rank information.
     """
-    X, y = instances_to_arrays(instances)
     if np.unique(y).size < 2:
         raise ValueError("cross-validation needs both classes present")
     fold_of = stratified_folds(y, folds, seed)
     pooled_pred = np.empty(y.shape[0], dtype=np.int64)
     fallback_folds = 0
-    fold_accuracies: list[float] = []
     fold_aucs: list[float] = []
     for f in range(folds):
         test = fold_of == f
@@ -251,10 +229,8 @@ def cross_validate(
         model.fit(X[train], y[train])
         scores = model.scores(X[test])
         pooled_pred[test] = model.labels(scores)
-        if test.any():
-            fold_accuracies.append(accuracy_percent(y[test], pooled_pred[test]))
-            if np.unique(y[test]).size == 2:
-                fold_aucs.append(auc_rank_statistic(scores, y[test]))
+        if np.unique(y[test]).size == 2:
+            fold_aucs.append(auc_rank_statistic(scores, y[test]))
     if not fold_aucs:
         raise ValueError(
             "no fold had both classes in its test split; AUC is undefined"
@@ -266,7 +242,6 @@ def cross_validate(
         auc=float(np.mean(fold_aucs)),
         folds=folds,
         fallback_folds=fallback_folds,
-        fold_accuracies=tuple(fold_accuracies),
     )
 
 
@@ -307,8 +282,8 @@ def cross_validate_all(
     folds: int,
     seed: int,
 ) -> tuple[CrossValidationRow, ...]:
-    instances = build_instances(table, manager_labels)
-    return tuple(cross_validate(kind, instances, folds, seed) for kind in kinds)
+    X, y = build_instances(table, manager_labels)
+    return tuple(cross_validate(kind, X, y, folds, seed) for kind in kinds)
 
 
 def evaluate(

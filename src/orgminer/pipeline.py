@@ -258,13 +258,11 @@ def ranking_artifacts(
 
 def community_artifacts(
     graph: SocialGraph,
-    manager_labels: Mapping[int, bool] | None,
     rules: Sequence[RoleRule] | None = None,
     chash: str | None = None,
 ) -> tuple[Partition, dict[str, bytes]]:
     partition = detect_communities(graph)
-    roles = infer_roles(graph, partition, manager_labels, rules=rules)
-    rows = community_report(graph, partition, roles, rules)
+    rows = community_report(infer_roles(graph, partition, rules))
     return partition, {
         "communities.csv": _csv_footer(partition_table_bytes(partition), chash),
         "community_report.csv": _csv_footer(report_table_bytes(rows), chash),
@@ -407,7 +405,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
             artifacts |= write_artifacts(out, files)
 
     with _stage("communities"):
-        partition, files = community_artifacts(graph, manager_labels, chash=chash)
+        partition, files = community_artifacts(graph, chash=chash)
         artifacts |= write_artifacts(out, files)
 
     with _stage("export"):

@@ -181,7 +181,6 @@ class WorldTruth:
     node_org: dict[int, int | None]
     node_community: dict[int, int | None]
     communities: dict[int, CommunityInfo]
-    positions: dict[int, str]  # true position text, members only
     locations: dict[int, str]
     disclosure: dict[int, bool]
 
@@ -475,7 +474,6 @@ def generate_world(spec: WorldSpec) -> World:
             )
 
         # Profiles, drawn in ascending node order for determinism.
-        positions: dict[int, str] = {}
         locations: dict[int, str] = {}
         disclosure: dict[int, bool] = {}
         profiles: dict[int, Profile] = {}
@@ -505,7 +503,6 @@ def generate_world(spec: WorldSpec) -> World:
                 pool = CATEGORY_POSITIONS[info.category]
                 position = pool[int(rng.integers(0, len(pool)))]
             discloses = bool(rng.random() < org.position_disclosure_rate)
-            positions[v] = position
             locations[v] = info.location
             disclosure[v] = discloses
             profiles[v] = Profile(
@@ -529,7 +526,6 @@ def generate_world(spec: WorldSpec) -> World:
             node_org=node_org,
             node_community=node_community,
             communities=community_info,
-            positions=positions,
             locations=locations,
             disclosure=disclosure,
         )

@@ -43,7 +43,6 @@ from orgminer import (
 from orgminer import bruteforce as bf
 from orgminer.crawler import resume, save_state
 from orgminer.leadership import (
-    LabeledInstance,
     auc_rank_statistic,
     cross_validate,
     build_instances,
@@ -373,11 +372,7 @@ def test_a08_zero_r_baseline_and_metric_agreement():
     y = np.zeros(97, dtype=int)
     y[:29] = 1
     rng.shuffle(y)
-    instances = [
-        LabeledInstance(node=i, features=tuple(X[i]), is_manager=bool(y[i]))
-        for i in range(97)
-    ]
-    row = cross_validate("zero-r", instances, folds=10, seed=0)
+    row = cross_validate("zero-r", X, y, folds=10, seed=0)
     majority = max(np.mean(y), 1.0 - np.mean(y))
     zero_r_ok = (
         row.accuracy == 100.0 * majority
@@ -429,9 +424,9 @@ def test_a09_trained_classifiers_beat_chance_by_frozen_margin():
         sub = world.graph.subgraph(members)
         table = centrality_table(sub, CentralityConfig(tol=1e-10, max_iter=100000))
         labels = {v: v in world.truth.managers for v in members}
-        instances = build_instances(table, labels)
+        X, y = build_instances(table, labels)
         for kind in mins:
-            row = cross_validate(kind, instances, folds=10, seed=seed)
+            row = cross_validate(kind, X, y, folds=10, seed=seed)
             mins[kind] = min(mins[kind], row.auc)
     _verdict(
         9,

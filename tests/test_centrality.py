@@ -357,9 +357,7 @@ def test_lanczos_communicability_matches_dense(monkeypatch, name):
     g = LANCZOS_GRAPHS[name]()
     dense = as_vector(communicability_centrality(g), g)
     monkeypatch.setattr(centrality, "_DENSE_BUDGET", 40 * g.num_nodes**2 - 1)
-    with pytest.raises(CentralityError):
-        communicability_centrality(g)
-    approx = as_vector(communicability_centrality(g, approximate=True), g)
+    approx = as_vector(communicability_centrality(g), g)
     assert np.max(np.abs(approx - dense) / dense) <= 1e-10
     isolated = [i for i, v in enumerate(g.nodes) if g.degree(v) == 0]
     assert all(approx[i] == 1.0 for i in isolated)
@@ -370,11 +368,12 @@ def test_lanczos_out_of_steps_is_a_centrality_error(monkeypatch):
     monkeypatch.setattr(centrality, "_DENSE_BUDGET", 0)
     monkeypatch.setattr(centrality, "_LANCZOS_STEPS", 2)
     with pytest.raises(CentralityError, match="unconverged in 2 steps"):
-        communicability_centrality(random_graph(11, 300, 0.06), approximate=True)
+        communicability_centrality(random_graph(11, 300, 0.06))
 
 
-def test_communicability_over_budget_fails_before_any_dense_allocation(monkeypatch):
-    g = random_graph(3, 400, 0.05)
+def test_communicability_over_budget_runs_lanczos_without_a_dense_allocation(monkeypatch):
+    # large enough that Lanczos' n x 256 blocks stay under one n x n array
+    g = random_graph(3, 1500, 0.005)
     needed = 40 * g.num_nodes**2  # five n x n float64 arrays
     monkeypatch.setattr(centrality, "_DENSE_BUDGET", needed - 1)
     tracemalloc.start()
@@ -383,23 +382,19 @@ def test_communicability_over_budget_fails_before_any_dense_allocation(monkeypat
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "cc" not in table.scores
-    assert f"needs {needed} bytes" in table.failures["cc"]
+    assert table.measures == ("cc",) and not table.failures
     assert peak < g.num_nodes**2 * 8
-    config = CentralityConfig(approximate_communicability=True)
-    assert not centrality_table(g, config, measures=("cc",)).failures
 
 
 @pytest.mark.parametrize("path", ["dense", "lanczos"])
 def test_communicability_overflow_is_a_failure_not_inf(monkeypatch, path):
     # K_712 has lambda_max = 711 > ln(max float) ~ 709.78, so e^711 is inf
     g = complete_graph(712)
-    config = CentralityConfig(approximate_communicability=path == "lanczos")
     if path == "lanczos":
         monkeypatch.setattr(centrality, "_DENSE_BUDGET", 0)
     with pytest.raises(CentralityError, match="overflows float64"):
-        communicability_centrality(g, config.approximate_communicability)
-    table = centrality_table(g, config, measures=("cc",))
+        communicability_centrality(g)
+    table = centrality_table(g, measures=("cc",))
     assert "overflows float64" in table.failures["cc"]
     assert table.measures == ()
     assert b"inf" not in table.to_csv_bytes()

@@ -347,16 +347,7 @@ def test_infer_roles_low_confidence_on_sparse_votes():
     part = Partition({v: 0 for v in range(4)}, q=0.0)
     (role,) = infer_roles(g, part)
     assert role.position == "R&D"
-    assert role.low_confidence  # one voter is below min_labeled
-
-
-def test_infer_roles_counts_managers_with_label_override():
-    g, part = build_labeled_graph()
-    labels = {5: True, 0: True}
-    roles = infer_roles(g, part, manager_labels=labels)
-    by_comm = {r.community: r for r in roles}
-    assert by_comm[0].manager_count == 1
-    assert by_comm[1].manager_count == 1
+    assert role.low_confidence  # one voter is below _MIN_LABELED
 
 
 def test_planted_world_roles_recovered():
@@ -364,9 +355,7 @@ def test_planted_world_roles_recovered():
     members = sorted(world.truth.all_members())
     sub = world.graph.subgraph(members)
     part = detect_communities(sub)
-    roles = infer_roles(sub, part, manager_labels={
-        v: v in world.truth.managers for v in members
-    })
+    roles = infer_roles(sub, part)
     qualifying = [r for r in roles if not r.low_confidence]
     assert qualifying
     planted = {
@@ -380,8 +369,7 @@ def test_planted_world_roles_recovered():
 
 def test_community_report_counts():
     g, part = build_labeled_graph()
-    roles = infer_roles(g, part)
-    rows = community_report(g, part, roles)
+    rows = community_report(infer_roles(g, part))
     assert len(rows) == 2
     first = rows[0]
     assert first.community == 0
@@ -394,8 +382,7 @@ def test_community_report_counts():
 
 def test_report_tables_round_trip_shape():
     g, part = build_labeled_graph()
-    roles = infer_roles(g, part)
-    rows = community_report(g, part, roles)
+    rows = community_report(infer_roles(g, part))
     table = report_table_bytes(rows).decode()
     assert len(table.strip().splitlines()) == 3
     nodes_csv = partition_table_bytes(part).decode()

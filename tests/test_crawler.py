@@ -29,6 +29,7 @@ from orgminer.graph import GraphError, SocialGraph
 from orgminer.utils import stable_json
 
 from conftest import crawl_world_spec, write_half_then_fail
+from test_graph import MALFORMED_PROFILES
 
 
 def make_source(nodes, edges, employers):
@@ -734,6 +735,21 @@ def test_resume_rejects_a_malformed_config(tmp_path, config, message):
     part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
     payload = json.loads(part.state.to_json_bytes())
     payload["config"].update(config)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError, match=re.escape(message)):
+        resume(path, src)
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROFILES)
+def test_resume_rejects_a_malformed_profile(tmp_path, case):
+    record, message = MALFORMED_PROFILES[case]
+    world = generate_world(crawl_world_spec(9))
+    seeds = sorted(world.truth.all_members())[:3]
+    src = world.fresh_source()
+    part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
+    payload = json.loads(part.state.to_json_bytes())
+    payload["profiles"]["5"] = record
     path = tmp_path / "state.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(StateError, match=re.escape(message)):

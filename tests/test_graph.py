@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given
 
@@ -154,6 +157,52 @@ def test_profile_jsonl_round_trip():
     }
     back = load_profiles(profiles_to_jsonl_bytes(profiles))
     assert back == profiles
+
+
+# each record loaded, coerced, before profiles were decoded strictly
+MALFORMED_PROFILES = {
+    "float node": ({"node": 5.7}, "profile node id must be an int, not 5.7"),
+    "bool node": ({"node": True}, "profile node id must be an int, not True"),
+    "string node": ({"node": "5"}, "profile node id must be an int, not '5'"),
+    "number name": ({"node": 5, "name": 7}, "name must be a string or null, not 7"),
+    "number position": ({"node": 5, "position": 3}, "position must be a string or null, not 3"),
+    "list location": (
+        {"node": 5, "location": ["x"]}, "location must be a string or null, not ['x']"),
+    "string employers": (
+        {"node": 5, "employers": "acme"}, "employers must be a list of strings, not 'acme'"),
+    "number employer": (
+        {"node": 5, "employers": ["acme", 3]},
+        "employers must be a list of strings, not ['acme', 3]"),
+    "string member flag": (
+        {"node": 5, "is_org_member": "yes"}, "is_org_member must be a bool or null, not 'yes'"),
+    "int manager flag": (
+        {"node": 5, "is_org_member": True, "is_manager": 1},
+        "is_manager must be a bool or null, not 1"),
+    "string disclosure": (
+        {"node": 5, "position": "cto", "discloses_position": "no"},
+        "discloses_position must be a bool, not 'no'"),
+    "null disclosure": (
+        {"node": 5, "discloses_position": None}, "discloses_position must be a bool, not None"),
+    "every field wrong": (
+        {"node": 5.7, "discloses_position": "no", "position": 3, "employers": "acme"},
+        "profile node id must be an int, not 5.7"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROFILES)
+def test_load_profiles_rejects_a_malformed_record(case):
+    record, message = MALFORMED_PROFILES[case]
+    data = profiles_to_jsonl_bytes({3: Profile(node=3)}) + json.dumps(record).encode()
+    with pytest.raises(GraphParseError, match=re.escape(message)) as info:
+        load_profiles(data)
+    prefix = "<bytes>:2: " if message.startswith("profile node") else "<bytes>:2: profile 5: "
+    assert str(info.value) == prefix + message
+
+
+def test_load_profiles_accepts_null_optional_fields():
+    record = {"node": 4, "name": None, "position": None, "location": None,
+              "employers": [], "is_org_member": None, "is_manager": None}
+    assert load_profiles(json.dumps(record).encode()) == {4: Profile(node=4)}
 
 
 def test_labels_csv_round_trip():

@@ -6,17 +6,20 @@ lexsort for the nearest neighbours, a greedy-modularity heap that holds
 every adjacent pair, the world generator's scalar pair decoder and
 rejection sampler, a social graph of per-node adjacency sets and an
 edge-tuple set, a shortest-path sweep that kept every BFS distance and
-one predecessor-count array per level, and a centrality table of
-per-measure dicts with a ranking sorted in Python. The kernels must give
-the same bits.
+one predecessor-count array per level, a centrality table of
+per-measure dicts with a ranking sorted in Python, community roles and a
+report that walked every member twice, and classifier instances built
+as one tuple per node. The kernels must give the same bits.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 import tracemalloc
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import pytest
@@ -28,23 +31,37 @@ from orgminer import (
     CentralityError,
     CentralityTable,
     GraphError,
+    Partition,
+    Profile,
     RankedList,
     SocialGraph,
     betweenness_centrality,
+    build_instances,
     centrality_table,
     classifiers,
     closeness_centrality,
     communicability_centrality,
+    community_report,
     degree_centrality,
     eigenvector_centrality,
     hits,
+    infer_roles,
     load_centrality,
     pagerank,
     rank_nodes,
 )
 from orgminer.centrality import _shortest_path_sweep
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
-from orgminer.community import MergeStep, detect_communities
+from orgminer.community import (
+    CommunityReportRow,
+    MergeStep,
+    RoleRule,
+    _internal_link_counts,
+    _majority,
+    detect_communities,
+    normalize_position,
+    report_table_bytes,
+)
 from orgminer.synthworld import _distinct_indices, _pairs_from_indices, generate_world
 
 from conftest import random_graph, small_graphs, two_community_spec
@@ -742,3 +759,211 @@ def tied_tables(draw):
 def test_table_read_from_csv_matches_dict_reference(ref):
     data = ref.to_csv_bytes()
     _assert_tables_agree(CentralityTable.from_csv_bytes(data), RefTable.from_csv_bytes(data))
+
+
+# -- community roles and report ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefRole:
+    community: int
+    size: int
+    internal_links: int
+    position: str | None
+    position_support: float
+    location: str | None
+    location_support: float
+    manager_count: int
+    low_confidence: bool
+
+
+def ref_infer_roles(g, partition, manager_labels=None, min_support=0.3, min_labeled=3,
+                    rules=None):
+    links = _internal_link_counts(g, partition.assignment)
+    out = []
+    for comm, members in partition.communities().items():
+        position_votes: Counter[str] = Counter()
+        position_voters = 0
+        location_votes: Counter[str] = Counter()
+        managers = 0
+        for v in members:
+            profile = g.profile(v)
+            if profile is None:
+                continue
+            if manager_labels is not None and v in manager_labels:
+                managers += 1 if manager_labels[v] else 0
+            elif profile.is_manager:
+                managers += 1
+            if profile.position is not None:
+                position_voters += 1
+                category = normalize_position(profile.position, rules)
+                if category is not None:
+                    position_votes[category] += 1
+            if profile.location is not None:
+                location_votes[profile.location] += 1
+        position, position_count = _majority(position_votes)
+        location, location_count = _majority(location_votes)
+        location_voters = sum(location_votes.values())
+        position_support = position_count / position_voters if position_voters else 0.0
+        location_support = location_count / location_voters if location_voters else 0.0
+        low_confidence = (
+            position_voters < min_labeled
+            or position_support < min_support
+            or location_voters < min_labeled
+            or location_support < min_support
+        )
+        out.append(RefRole(comm, len(members), links.get(comm, 0), position, position_support,
+                           location, location_support, managers, low_confidence))
+    return out
+
+
+def ref_community_report(g, partition, roles, rules=None):
+    role_by_comm = {role.community: role for role in roles}
+    links = _internal_link_counts(g, partition.assignment)
+    rows = []
+    for comm, members in partition.communities().items():
+        disclosed = 0
+        classified = 0
+        for v in members:
+            profile = g.profile(v)
+            if profile is None or profile.position is None:
+                continue
+            disclosed += 1
+            if normalize_position(profile.position, rules) is not None:
+                classified += 1
+        role = role_by_comm.get(comm)
+        if role is None or role.low_confidence or role.position is None:
+            description = "unclassified (low confidence)"
+        else:
+            where = role.location if role.location is not None else "unknown location"
+            description = f"{role.position} / {where}"
+        rows.append(CommunityReportRow(comm, len(members), links.get(comm, 0), disclosed,
+                                       classified, description))
+    return tuple(rows)
+
+
+def _assert_roles_agree(g, partition, rules=None) -> None:
+    roles = infer_roles(g, partition, rules)
+    ref_roles = ref_infer_roles(g, partition, rules=rules)
+    assert [
+        (r.community, r.size, r.internal_links, r.position, r.position_support,
+         r.location, r.location_support, r.low_confidence) for r in roles
+    ] == [astuple(r)[:7] + (r.low_confidence,) for r in ref_roles]
+    rows, ref_rows = community_report(roles), ref_community_report(g, partition, ref_roles, rules)
+    assert rows == ref_rows
+    assert report_table_bytes(rows) == report_table_bytes(ref_rows)
+
+
+_POSITIONS = (None, "software engineer", "Sales Manager", "account  executive", "cook",
+              "Head of Support", "intern", "  senior   ENGINEER ")
+_LOCATIONS = (None, "east", "west", "north, annex")
+_CUSTOM_RULES = (RoleRule("Kitchen", ("cook", "chef")), RoleRule("Eng", ("engineer",)))
+
+
+@st.composite
+def profiled_partitions(draw):
+    """A graph whose nodes may carry a profile with a position and a location
+    from small pools, cut into up to four communities of arbitrary ids."""
+    g = draw(small_graphs(max_nodes=14))
+    profiles = {}
+    for v in g.nodes:
+        if draw(st.booleans()):
+            position = draw(st.sampled_from(_POSITIONS))
+            profiles[v] = Profile(node=v, position=position,
+                                  location=draw(st.sampled_from(_LOCATIONS)))
+    ids = draw(st.lists(st.integers(-5, 50), min_size=1, max_size=4, unique=True))
+    assignment = {v: draw(st.sampled_from(ids)) for v in g.nodes}
+    rules = draw(st.sampled_from((None, _CUSTOM_RULES)))
+    return g.with_profiles(profiles), Partition(assignment, 0.0), rules
+
+
+@given(profiled_partitions())
+def test_community_report_matches_two_pass_reference(case):
+    _assert_roles_agree(*case)
+
+
+def test_community_report_matches_two_pass_reference_on_acceptance_worlds():
+    for seed in range(10):
+        for disclosure in (1.0, 0.4):
+            world = generate_world(two_community_spec(seed, disclosure=disclosure))
+            sub = world.graph.subgraph(sorted(world.truth.all_members()))
+            _assert_roles_agree(sub, detect_communities(sub))
+
+
+# -- classifier instances ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefInstance:
+    node: int
+    features: tuple[float, ...]
+    is_manager: bool
+
+
+def ref_build_instances(table, manager_labels) -> list[RefInstance]:
+    out = []
+    for node, row in zip(table.nodes, table.feature_matrix().tolist()):
+        if node not in manager_labels:
+            continue
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"non-finite feature for node {node}")
+        out.append(RefInstance(node, tuple(row), bool(manager_labels[node])))
+    return out
+
+
+def ref_instances_to_arrays(instances) -> tuple[np.ndarray, np.ndarray]:
+    X = np.array([inst.features for inst in instances], dtype=np.float64)
+    y = np.array([1 if inst.is_manager else 0 for inst in instances], dtype=np.int64)
+    return X, y
+
+
+def _assert_instances_agree(table: CentralityTable, labels) -> None:
+    try:
+        ref = ref_build_instances(table, labels)
+    except (CentralityError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            build_instances(table, labels)
+        return
+    want_X, want_y = ref_instances_to_arrays(ref)
+    X, y = build_instances(table, labels)
+    if ref:  # the reference has no columns when no node is labeled
+        assert X.dtype == want_X.dtype and X.shape == want_X.shape
+        assert X.tobytes() == want_X.tobytes()
+    else:
+        assert X.shape == (0, len(MEASURES))
+    assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+
+
+@st.composite
+def labelings(draw, nodes):
+    """Labels for a random subset of ``nodes``, with ids outside it too."""
+    labeled = draw(st.lists(st.sampled_from(nodes), unique=True)) if nodes else []
+    labels = {v: draw(st.booleans()) for v in labeled}
+    labels.update({10**6 + i: True for i in range(draw(st.integers(0, 2)))})
+    return labels
+
+
+@given(small_graphs(max_nodes=10), st.data())
+@example(SocialGraph(range(4), []), None)  # edgeless: ec fails, no matrix
+def test_build_instances_matches_tuple_reference(g, data):
+    table = centrality_table(g)
+    labels = {v: True for v in g.nodes} if data is None else data.draw(labelings(g.nodes))
+    _assert_instances_agree(table, labels)
+
+
+@st.composite
+def full_tables_from_csv(draw):
+    """Tables read back from CSV with every measure, scores from a pool with
+    -0.0, the smallest subnormal and, now and then, a non-finite value."""
+    nodes = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=10, unique=True))
+    pool = (0.0, -0.0, 1.0, 0.5, -2.5, 5e-324)
+    if draw(st.booleans()):
+        pool += (math.inf, math.nan)
+    scores = {m: {v: draw(st.sampled_from(pool)) for v in nodes} for m in MEASURES}
+    data = RefTable(tuple(nodes), scores).to_csv_bytes()
+    return CentralityTable.from_csv_bytes(data)
+
+
+@given(full_tables_from_csv(), st.data())
+def test_build_instances_from_csv_matches_tuple_reference(table, data):
+    _assert_instances_agree(table, data.draw(labelings(list(table.nodes))))

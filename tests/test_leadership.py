@@ -32,7 +32,6 @@ from orgminer.leadership import (
     classifier_table_bytes,
     f_measure,
     hidden_table_bytes,
-    instances_to_arrays,
     precision_table_bytes,
 )
 
@@ -240,29 +239,27 @@ def world_instances():
 
 
 def test_zero_r_cv_exact_values(world_instances):
-    _, _, instances = world_instances
-    row = cross_validate("zero-r", instances, folds=10, seed=0)
-    y = np.array([int(i.is_manager) for i in instances])
+    _, _, (X, y) = world_instances
+    row = cross_validate("zero-r", X, y, folds=10, seed=0)
     majority = max(y.mean(), 1 - y.mean())
     assert row.accuracy == pytest.approx(100.0 * majority, abs=1e-12)
     assert row.f1 == 0.0
     assert row.auc == pytest.approx(0.5, abs=1e-12)
     assert row.folds == 10
-    assert len(row.fold_accuracies) == 10
 
 
 def test_informed_classifiers_beat_zero_r(world_instances):
-    _, _, instances = world_instances
-    zr = cross_validate("zero-r", instances, folds=10, seed=0)
+    _, _, (X, y) = world_instances
+    zr = cross_validate("zero-r", X, y, folds=10, seed=0)
     for kind in ("logistic", "random-forest", "knn-3"):
-        row = cross_validate(kind, instances, folds=10, seed=0)
+        row = cross_validate(kind, X, y, folds=10, seed=0)
         assert row.auc > zr.auc + 0.2, kind
 
 
 def test_cross_validate_deterministic(world_instances):
-    _, _, instances = world_instances
-    a = cross_validate("random-forest", instances, folds=5, seed=7)
-    b = cross_validate("random-forest", instances, folds=5, seed=7)
+    _, _, (X, y) = world_instances
+    a = cross_validate("random-forest", X, y, folds=5, seed=7)
+    b = cross_validate("random-forest", X, y, folds=5, seed=7)
     assert a == b
 
 
@@ -282,7 +279,7 @@ def test_evaluate_bundles_everything(world_instances):
 
 
 def test_report_table_emitters(world_instances):
-    world, table, instances = world_instances
+    world, table, _ = world_instances
     members = sorted(world.truth.all_members())
     labels = {v: v in world.truth.managers for v in members}
     disclosure = {v: world.truth.disclosure[v] for v in members}
@@ -303,8 +300,8 @@ def test_build_instances_rejects_nonfinite_features():
         build_instances(table, {v: False for v in table.nodes})
 
 
-def test_instances_to_arrays_shapes(world_instances):
-    _, table, instances = world_instances
-    X, y = instances_to_arrays(instances)
-    assert X.shape == (len(instances), 8)
+def test_build_instances_shapes(world_instances):
+    _, table, (X, y) = world_instances
+    assert X.shape == (len(table.nodes), 8)
+    assert y.shape == (len(table.nodes),)
     assert set(np.unique(y)) <= {0, 1}

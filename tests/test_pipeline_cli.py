@@ -33,6 +33,7 @@ from orgminer.utils import derive_seed, stable_json
 
 from conftest import two_community_spec, write_half_then_fail
 from test_community import MALFORMED_RULES
+from test_graph import MALFORMED_PROFILES
 
 GENERATE_ARTIFACTS = {
     "world_edges.txt",
@@ -414,6 +415,23 @@ def test_pipeline_reports_a_malformed_world_spec_from_generate(tmp_path, case):
     assert info.value.stage == "generate" and message in str(info.value)
 
 
+@pytest.mark.parametrize("case", MALFORMED_PROFILES)
+def test_cli_crawl_rejects_a_malformed_profile_line(world_files, tmp_path, capsys, case):
+    record, message = MALFORMED_PROFILES[case]
+    lines = world_files["profiles"].read_text().splitlines()
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+    out = tmp_path / "out"
+    members = world_files["members"]
+    rc = cli.main(["crawl", "--edges", str(world_files["edges"]), "--profiles", str(profiles),
+                   "--keywords", "acme corp", "--seeds", str(members[0]), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{profiles}:{len(lines) + 1}: " in err[0] and err[0].endswith(message)
+    assert not out.exists()
+
+
 def test_cli_crawl_resume_matches_uninterrupted_run(world_files, tmp_path, capsys):
     """A budget-stopped crawl plus a resume lands on the uninterrupted result."""
     members = world_files["members"]
@@ -591,7 +609,7 @@ def test_cli_chain_writes_the_pipeline_artifacts(world_files, pipeline_run, tmp_
         ["rank", "--table", table, "--labels", labels, "--out-dir", d],
         ["evaluate", "--table", table, "--labels", labels,
          "--seed", str(derive_seed(7, "evaluate")), "--out", f"{d}/cv_report.csv"],
-        ["communities", "--edges", edges, "--profiles", profiles, "--labels", labels,
+        ["communities", "--edges", edges, "--profiles", profiles,
          "--out-partition", f"{d}/communities.csv",
          "--out-report", f"{d}/community_report.csv"],
     ]
@@ -622,8 +640,6 @@ def test_cli_communities_writes_partition_and_report(world_files, tmp_path, caps
             str(world_files["edges"]),
             "--profiles",
             str(world_files["profiles"]),
-            "--labels",
-            str(world_files["labels"]),
             "--out-partition",
             str(part),
             "--out-report",
