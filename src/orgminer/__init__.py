@@ -21,10 +21,7 @@ from .centrality import (
     closeness_centrality,
     communicability_centrality,
     degree_centrality,
-    eigenvector_centrality,
-    hits,
     load_centrality,
-    pagerank,
 )
 from .classifiers import CLASSIFIER_NAMES, make_classifier
 from .community import (
@@ -63,7 +60,6 @@ from .graph import (
     edge_list_bytes,
     export_graph,
     labels_to_csv_bytes,
-    load_edge_list,
     load_graph,
     load_graphml,
     load_labels,

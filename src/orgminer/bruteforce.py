@@ -22,11 +22,11 @@ import numpy as np
 from .graph import SocialGraph
 
 
-def _adjacency_dict(g: SocialGraph) -> dict[int, frozenset[int]]:
-    return {v: g.neighbors(v) for v in g.nodes}
+def _adjacency_dict(g: SocialGraph) -> dict[int, tuple[int, ...]]:
+    return {v: g.sorted_neighbors(v) for v in g.nodes}
 
 
-def _bfs_distances(adj: dict[int, frozenset[int]], source: int) -> dict[int, int]:
+def _bfs_distances(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -91,7 +91,7 @@ def enumerate_shortest_paths(
         if v == s:
             yield (s,)
             return
-        for u in sorted(adj[v]):
+        for u in adj[v]:
             if dist.get(u, -2) == dist[v] - 1:
                 for prefix in backwalk(u):
                     yield prefix + (v,)

@@ -1,6 +1,8 @@
 """Eight per-node centrality measures with deterministic conventions.
 
-Measures and conventions (n = node count, scores keyed by node id):
+Each measure is a float64 array in ascending-node-id order (n = node
+count); ``centrality_table`` collects them into one table. Measures and
+conventions:
 
 * ``dg``  degree / (n - 1); 0 on a singleton graph.
 * ``cl``  component-scaled closeness: ((r-1)/(n-1)) * ((r-1)/sum d(v,u))
@@ -56,11 +58,7 @@ class CentralityError(GraphError):
 
 
 class ConvergenceError(CentralityError):
-    """An iterative solver ran out of iterations; carries its last iterate."""
-
-    def __init__(self, message: str, last_iterate):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An iterative solver ran out of iterations."""
 
 
 @dataclass(frozen=True)
@@ -69,18 +67,14 @@ class CentralityConfig:
     max_iter: int = _DEFAULT_MAX_ITER
 
 
-def _as_scores(g: SocialGraph, values: np.ndarray) -> dict[int, float]:
-    return {v: float(values[i]) for i, v in enumerate(g.nodes)}
-
-
 # -- degree --------------------------------------------------------------------
 
 
-def degree_centrality(g: SocialGraph) -> dict[int, float]:
+def degree_centrality(g: SocialGraph) -> np.ndarray:
     n = g.num_nodes
     if n <= 1:
-        return {v: 0.0 for v in g.nodes}
-    return {v: g.degree(v) / (n - 1) for v in g.nodes}
+        return np.zeros(n)
+    return np.diff(g.adjacency_matrix().indptr) / (n - 1)
 
 
 # -- shortest paths (one sweep for cl / bc / lc) ----------------------------------
@@ -155,22 +149,23 @@ def _shortest_path_sweep(g: SocialGraph) -> tuple[np.ndarray, np.ndarray, np.nda
     return cl, bc, lc
 
 
-def closeness_centrality(g: SocialGraph) -> dict[int, float]:
-    return _as_scores(g, _shortest_path_sweep(g)[0])
+def closeness_centrality(g: SocialGraph) -> np.ndarray:
+    return _shortest_path_sweep(g)[0]
 
 
-def betweenness_centrality(g: SocialGraph) -> dict[int, float]:
-    return _as_scores(g, _shortest_path_sweep(g)[1])
+def betweenness_centrality(g: SocialGraph) -> np.ndarray:
+    return _shortest_path_sweep(g)[1]
 
 
-def load_centrality(g: SocialGraph) -> dict[int, float]:
-    return _as_scores(g, _shortest_path_sweep(g)[2])
+def load_centrality(g: SocialGraph) -> np.ndarray:
+    return _shortest_path_sweep(g)[2]
 
 
 # -- spectral measures ----------------------------------------------------------
 
 
 def _pagerank_vector(g: SocialGraph, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Damped random-walk scores; dangling mass is spread uniformly."""
     n, damping = g.num_nodes, _DAMPING
     A = g.adjacency_matrix()
     deg = np.asarray(A.sum(axis=1)).ravel()
@@ -188,24 +183,15 @@ def _pagerank_vector(g: SocialGraph, tol: float, max_iter: int) -> tuple[np.ndar
         x = x_new
         if delta < threshold:
             return x, iteration
-    raise ConvergenceError(
-        f"pagerank did not converge in {max_iter} iterations", _as_scores(g, x)
-    )
-
-
-def pagerank(
-    g: SocialGraph, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
-) -> dict[int, float]:
-    """Damped random-walk scores; dangling mass is spread uniformly."""
-    if g.num_nodes == 0:
-        return {}
-    x, _ = _pagerank_vector(g, tol, max_iter)
-    return _as_scores(g, x)
+    raise ConvergenceError(f"pagerank did not converge in {max_iter} iterations")
 
 
 def _eigenvector_vector(
     g: SocialGraph, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int]:
+    """Dominant adjacency eigenvector, nonnegative, unit Euclidean norm."""
+    if g.num_edges == 0:
+        raise CentralityError("eigenvector centrality needs at least one edge")
     n = g.num_nodes
     A = g.adjacency_matrix()
     x = np.full(n, 1.0 / np.sqrt(n))
@@ -216,25 +202,14 @@ def _eigenvector_vector(
         x = y
         if delta < tol:
             return x, iteration
-    raise ConvergenceError(
-        f"eigenvector centrality did not converge in {max_iter} iterations",
-        _as_scores(g, x),
-    )
-
-
-def eigenvector_centrality(
-    g: SocialGraph, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
-) -> dict[int, float]:
-    """Dominant adjacency eigenvector, nonnegative, unit Euclidean norm."""
-    if g.num_edges == 0:
-        raise CentralityError("eigenvector centrality needs at least one edge")
-    x, _ = _eigenvector_vector(g, tol, max_iter)
-    return _as_scores(g, x)
+    raise ConvergenceError(f"eigenvector centrality did not converge in {max_iter} iterations")
 
 
 def _hits_vectors(
     g: SocialGraph, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Authority and hub vectors from the mutual-reinforcement update; on an
+    undirected graph both converge to the Perron direction of the adjacency."""
     n = g.num_nodes
     A = g.adjacency_matrix()
     authority = np.full(n, 1.0 / np.sqrt(n))
@@ -251,29 +226,10 @@ def _hits_vectors(
         authority, hub = a_new, h_new
         if done:
             return authority, hub, iteration
-    raise ConvergenceError(
-        f"hits did not converge in {max_iter} iterations",
-        (_as_scores(g, authority), _as_scores(g, hub)),
-    )
+    raise ConvergenceError(f"hits did not converge in {max_iter} iterations")
 
 
-def hits(
-    g: SocialGraph, tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Authority and hub scores from the mutual-reinforcement update.
-
-    On an undirected graph the two roles coincide, so the returned
-    vectors are equal: both converge to the Perron direction of the
-    adjacency (the same identity shift as ``eigenvector_centrality``
-    guarantees convergence on bipartite graphs).
-    """
-    if g.num_nodes == 0:
-        raise CentralityError("hits needs a non-empty graph")
-    authority, hub, _ = _hits_vectors(g, tol, max_iter)
-    return _as_scores(g, authority), _as_scores(g, hub)
-
-
-def communicability_centrality(g: SocialGraph) -> dict[int, float]:
+def communicability_centrality(g: SocialGraph) -> np.ndarray:
     """diag(expm(A)) per node (Estrada & Rodriguez-Velazquez 2005), by dense
     eigendecomposition while its working set fits ``_DENSE_BUDGET`` bytes,
     above it by Lanczos quadrature (Golub & Meurant) to ``_LANCZOS_TOL``
@@ -294,7 +250,7 @@ def communicability_centrality(g: SocialGraph) -> dict[int, float]:
             x = vectors @ np.exp(eigenvalues)
     if not np.isfinite(x).all():
         raise CentralityError("communicability overflows float64: lambda_max > ln(max float)")
-    return _as_scores(g, x)
+    return x
 
 
 def _lanczos_communicability(A: sp.csr_array) -> np.ndarray:
@@ -353,8 +309,9 @@ class CentralityTable:
     a solver out of iterations, Lanczos out of steps, communicability past
     the float64 range) is a ``failures`` entry and its column is NaN filler.
     The ``hits`` column is the authority vector; ``hub`` is the hub vector in
-    row order, or None. ``scores`` and ``hub_scores`` are dicts keyed by
-    node, built from the array on each access.
+    row order, or None. ``iterations`` holds each iterative solver's
+    iteration count. ``scores`` gives dicts keyed by node, built from the
+    array on each access.
     """
 
     nodes: tuple[int, ...]
@@ -362,7 +319,7 @@ class CentralityTable:
     measures: tuple[str, ...]
     hub: np.ndarray | None = None
     failures: dict[str, str] = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    iterations: dict[str, int] = field(default_factory=dict)
 
     @property
     def scores(self) -> dict[str, dict[int, float]]:
@@ -370,10 +327,6 @@ class CentralityTable:
             m: dict(zip(self.nodes, self.values[:, MEASURES.index(m)].tolist()))
             for m in self.measures
         }
-
-    @property
-    def hub_scores(self) -> dict[int, float] | None:
-        return None if self.hub is None else dict(zip(self.nodes, self.hub.tolist()))
 
     def feature_matrix(self) -> np.ndarray:
         """A copy of ``values``; requires every measure present."""
@@ -391,9 +344,8 @@ class CentralityTable:
         lines = [",".join(header)]
         for v, row in zip(self.nodes, columns.tolist()):
             lines.append(",".join([str(v), *map(repr, row)]))
-        iteration_notes = self.provenance.get("iterations", {})
-        if iteration_notes:
-            noted = " ".join(f"{m}={iteration_notes[m]}" for m in sorted(iteration_notes))
+        if self.iterations:
+            noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
             lines.append(f"# iterations: {noted}")
         for measure in sorted(self.failures):
             lines.append(f"# failed: {measure}: {self.failures[measure]}")
@@ -457,11 +409,6 @@ def _validate_table(table: CentralityTable) -> None:
         raise CentralityError("communicability fell below 1")
 
 
-def _column(scores: dict[int, float]) -> np.ndarray:
-    """A public measure's dict, keyed in node order, as a table column."""
-    return np.fromiter(scores.values(), np.float64, len(scores))
-
-
 def centrality_table(
     g: SocialGraph,
     config: CentralityConfig | None = None,
@@ -498,33 +445,24 @@ def centrality_table(
         authority, hub, iterations["hits"] = _hits_vectors(g, cfg.tol, cfg.max_iter)
         return authority
 
-    def run_pr():
-        x, iterations["pr"] = _pagerank_vector(g, cfg.tol, cfg.max_iter)
-        return x
-
-    def run_ec():
-        if g.num_edges == 0:
-            raise CentralityError("eigenvector centrality needs at least one edge")
-        x, iterations["ec"] = _eigenvector_vector(g, cfg.tol, cfg.max_iter)
+    def iterate(measure: str, solver):
+        x, iterations[measure] = solver(g, cfg.tol, cfg.max_iter)
         return x
 
     shortest_paths = functools.cache(lambda: _shortest_path_sweep(g))
 
     runners = {
-        "dg": lambda: _column(degree_centrality(g)),
+        "dg": lambda: degree_centrality(g),
         "cl": lambda: shortest_paths()[0],
         "bc": lambda: shortest_paths()[1],
         "hits": run_hits,
-        "pr": run_pr,
-        "ec": run_ec,
-        "cc": lambda: _column(communicability_centrality(g)),
+        "pr": lambda: iterate("pr", _pagerank_vector),
+        "ec": lambda: iterate("ec", _eigenvector_vector),
+        "cc": lambda: communicability_centrality(g),
         "lc": lambda: shortest_paths()[2],
     }
     for measure in (m for m in MEASURES if m in measures):
         run(measure, runners[measure])
-    table = CentralityTable(
-        g.nodes, values, tuple(present), hub, failures,
-        {"iterations": iterations},
-    )
+    table = CentralityTable(g.nodes, values, tuple(present), hub, failures, iterations)
     _validate_table(table)
     return table

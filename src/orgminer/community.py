@@ -111,9 +111,6 @@ class Partition:
             groups.setdefault(comm, []).append(node)
         return {c: tuple(sorted(vs)) for c, vs in sorted(groups.items())}
 
-    def community_of(self, node: int) -> int:
-        return self.assignment[node]
-
     def __len__(self) -> int:
         return len(set(self.assignment.values()))
 

@@ -143,9 +143,6 @@ class Frontier:
     def __contains__(self, node: int) -> bool:
         return node in self._entries
 
-    def priority_of(self, node: int) -> int:
-        return -(self._entries[node] >> _PRIORITY_SHIFT)
-
     def push(self, node: int, priority: int) -> None:
         if node in self._entries:
             raise CrawlError(f"node {node} already queued")

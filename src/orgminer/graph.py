@@ -170,23 +170,14 @@ class SocialGraph:
         i = self._ids.searchsorted(v)
         return bool(i < len(self._ids) and self._ids[i] == v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.has_node(u) and v in self.sorted_neighbors(u)
-
     def sorted_neighbors(self, v: int) -> tuple[int, ...]:
         """The neighbours of ``v`` in ascending id order."""
         p = self.index_of(v)
         return tuple(self._ids[self._indices[self._indptr[p] : self._indptr[p + 1]]].tolist())
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self.sorted_neighbors(v))
-
     def degree(self, v: int) -> int:
         p = self.index_of(v)
         return int(self._indptr[p + 1] - self._indptr[p])
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(np.diff(self._indptr).tolist())
 
     def index_of(self, v: int) -> int:
         """Position of node ``v`` in ``nodes``; KeyError when absent."""
@@ -411,10 +402,6 @@ def parse_edge_list(source: str | Path | bytes) -> SocialGraph:
     return SocialGraph(nodes, edges)
 
 
-def load_edge_list(path: str | Path) -> SocialGraph:
-    return parse_edge_list(Path(path))
-
-
 def load_graph(
     edge_path: str | Path, profile_path: str | Path | None = None
 ) -> SocialGraph:
@@ -423,7 +410,7 @@ def load_graph(
     Profile ids must be a subset of the graph's nodes; dangling ids are an
     error rather than a silent drop.
     """
-    g = load_edge_list(edge_path)
+    g = parse_edge_list(edge_path)
     if profile_path is None:
         return g
     return g.with_profiles(load_profiles(profile_path))
@@ -516,6 +503,12 @@ def load_labels(source: str | Path | bytes) -> dict[int, LabelRow]:
         if node in out:
             raise GraphParseError(name, line_no, f"duplicate label row for {node}")
         community_raw = cells.get("community", "").strip()
+        try:
+            community = int(community_raw) if community_raw else None
+        except ValueError:
+            raise GraphParseError(
+                name, line_no, f"community must be an integer, got {community_raw!r}"
+            )
         out[node] = LabelRow(
             node=node,
             is_org_member=_parse_bool(cells.get("is_org_member", ""), name, line_no),
@@ -523,7 +516,7 @@ def load_labels(source: str | Path | bytes) -> dict[int, LabelRow]:
             discloses_position=_parse_bool(
                 cells.get("discloses_position", ""), name, line_no
             ),
-            community=int(community_raw) if community_raw else None,
+            community=community,
             location=cells.get("location", "").strip() or None,
         )
     return out

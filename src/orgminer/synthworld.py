@@ -184,9 +184,6 @@ class WorldTruth:
     locations: dict[int, str]
     disclosure: dict[int, bool]
 
-    def all_members(self) -> frozenset[int]:
-        return frozenset(v for ms in self.members for v in ms)
-
     def label_rows(self) -> list[LabelRow]:
         rows = []
         for v in sorted(self.node_org):

@@ -56,6 +56,11 @@ def write_half_then_fail(self, data):
     raise OSError("disk full")
 
 
+def org_members(world) -> list[int]:
+    """Every org member of a generated world, ascending."""
+    return sorted({v for members in world.truth.members for v in members})
+
+
 def path_graph(n: int) -> SocialGraph:
     return SocialGraph(range(n), [(i, i + 1) for i in range(n - 1)])
 

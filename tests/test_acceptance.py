@@ -54,6 +54,7 @@ from conftest import (
     complete_graph,
     crawl_world_spec,
     leadership_world_spec,
+    org_members,
     path_graph,
     random_graph,
     two_community_spec,
@@ -215,8 +216,8 @@ def test_a04_crawler_priorities_and_resume(tmp_path):
     violations: list = []
     for seed in range(20):
         world = generate_world(crawl_world_spec(seed))
-        adj = {v: world.graph.neighbors(v) for v in world.graph.nodes}
-        seeds = sorted(world.truth.all_members())[:3]
+        adj = {v: set(world.graph.sorted_neighbors(v)) for v in world.graph.nodes}
+        seeds = org_members(world)[:3]
         cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
         fetched: list[int] = []
 
@@ -234,7 +235,7 @@ def test_a04_crawler_priorities_and_resume(tmp_path):
             violations.append((seed, "double fetch"))
 
     world = generate_world(crawl_world_spec(7))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     full = crawl(world.fresh_source(), cfg)
     src = world.fresh_source()
@@ -308,7 +309,7 @@ def closeness_rankings():
     out = []
     for seed in range(20):
         world = generate_world(leadership_world_spec(seed))
-        members = sorted(world.truth.all_members())
+        members = org_members(world)
         sub = world.graph.subgraph(members)
         table = centrality_table(
             sub, CentralityConfig(tol=1e-10, max_iter=100000), measures=("cl",)
@@ -420,7 +421,7 @@ def test_a09_trained_classifiers_beat_chance_by_frozen_margin():
     mins = {"logistic": 1.0, "random-forest": 1.0}
     for seed in range(10):
         world = generate_world(leadership_world_spec(seed, size=500))
-        members = sorted(world.truth.all_members())
+        members = org_members(world)
         sub = world.graph.subgraph(members)
         table = centrality_table(sub, CentralityConfig(tol=1e-10, max_iter=100000))
         labels = {v: v in world.truth.managers for v in members}
@@ -443,17 +444,17 @@ def test_a10_planted_communities_and_roles_recovered():
     recovered = 0
     for seed in range(10):
         world = generate_world(two_community_spec(seed))
-        members = sorted(world.truth.all_members())
+        members = org_members(world)
         sub = world.graph.subgraph(members)
         part = detect_communities(sub)
         truth = {v: world.truth.node_community[v] for v in members}
-        found = {v: part.community_of(v) for v in members}
+        found = {v: part.assignment[v] for v in members}
         recovered += adjusted_rand_index(found, truth) > 0.8
 
     qualifying = hits = 0
     for seed in range(10):
         world = generate_world(two_community_spec(seed, disclosure=0.4))
-        members = sorted(world.truth.all_members())
+        members = org_members(world)
         sub = world.graph.subgraph(members)
         part = detect_communities(sub)
         groups = part.communities()

@@ -27,7 +27,9 @@ from orgminer.community import (
     report_table_bytes,
 )
 
-from conftest import complete_graph, path_graph, random_graph, small_graphs, two_community_spec
+from conftest import (
+    complete_graph, org_members, path_graph, random_graph, small_graphs, two_community_spec,
+)
 
 
 def two_triangles() -> SocialGraph:
@@ -352,7 +354,7 @@ def test_infer_roles_low_confidence_on_sparse_votes():
 
 def test_planted_world_roles_recovered():
     world = generate_world(two_community_spec(3))
-    members = sorted(world.truth.all_members())
+    members = org_members(world)
     sub = world.graph.subgraph(members)
     part = detect_communities(sub)
     roles = infer_roles(sub, part)

@@ -28,7 +28,7 @@ from orgminer.synthworld import InMemorySource
 from orgminer.graph import GraphError, SocialGraph
 from orgminer.utils import stable_json
 
-from conftest import crawl_world_spec, write_half_then_fail
+from conftest import crawl_world_spec, org_members, write_half_then_fail
 from test_graph import MALFORMED_PROFILES
 
 
@@ -257,7 +257,7 @@ def test_frontier_single_entry_per_node():
         f.push(1, 1)  # re-push is a bug, not a no-op
     assert len(f) == 1
     f.increase(1)
-    assert f.priority_of(1) == 2
+    assert f.items() == {1: 2}
     assert f.pop() == (1, 2)
     assert len(f) == 0
 
@@ -332,7 +332,7 @@ def test_missing_profile_skipped_and_counted():
 
 def test_budget_stop_sets_truncated():
     world = generate_world(crawl_world_spec(0))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=5)
     res = crawl(world.fresh_source(), cfg)
     assert res.stats.fetched == 5
@@ -342,7 +342,7 @@ def test_budget_stop_sets_truncated():
 
 def test_no_node_fetched_twice():
     world = generate_world(crawl_world_spec(1))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     seen = []
     crawl(world.fresh_source(), CrawlConfig(seeds=seeds, keywords=["acme"]),
           audit_hook=lambda state, node: seen.append(node))
@@ -351,8 +351,8 @@ def test_no_node_fetched_twice():
 
 def test_priority_equals_confirmed_neighbor_count():
     world = generate_world(crawl_world_spec(2))
-    adj = {v: world.graph.neighbors(v) for v in world.graph.nodes}
-    seeds = sorted(world.truth.all_members())[:3]
+    adj = {v: set(world.graph.sorted_neighbors(v)) for v in world.graph.nodes}
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
 
     def check(state, node):
@@ -367,7 +367,7 @@ def test_priority_equals_confirmed_neighbor_count():
 
 def test_width_one_determinism():
     world = generate_world(crawl_world_spec(3))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     a = crawl(world.fresh_source(), cfg)
     b = crawl(world.fresh_source(), cfg)
@@ -383,7 +383,7 @@ def test_wider_crawl_confirms_same_members_on_closed_world():
         rng_seed=4,
     )
     world = generate_world(spec)
-    seeds = sorted(world.truth.all_members())[:2]
+    seeds = org_members(world)[:2]
     narrow = crawl(world.fresh_source(), CrawlConfig(seeds=seeds, keywords=["acme"]))
     wide = crawl(world.fresh_source(),
                  CrawlConfig(seeds=seeds, keywords=["acme"], concurrency_width=4))
@@ -411,7 +411,7 @@ class LastFirstSource:
 @pytest.mark.parametrize("runner", [crawl, bfs_crawl])
 def test_wide_crawl_applies_results_in_pop_order(runner):
     world = generate_world(crawl_world_spec(4))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=60,
                       concurrency_width=4)
     plain = runner(world.fresh_source(), cfg)
@@ -448,7 +448,7 @@ def test_empty_friend_lists_fetch_only_seeds():
 
 def test_v1_beats_bfs_on_noisy_world():
     world = generate_world(crawl_world_spec(5))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=120)
     v1 = crawl(world.fresh_source(), cfg)
     bfs = bfs_crawl(world.fresh_source(), cfg)
@@ -460,7 +460,7 @@ def test_v1_beats_bfs_on_noisy_world():
 
 def test_v2_stops_on_sterile_window():
     world = generate_world(crawl_world_spec(6))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     v1 = crawl(world.fresh_source(),
                CrawlConfig(seeds=seeds, keywords=["acme"], version="v1"))
     v2 = crawl(world.fresh_source(),
@@ -473,7 +473,7 @@ def test_v2_stops_on_sterile_window():
 
 def test_v2_stop_is_suffix_cut():
     world = generate_world(crawl_world_spec(7))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     v2 = crawl(world.fresh_source(),
                CrawlConfig(seeds=seeds, keywords=["acme"], version="v2",
                            window_size=30))
@@ -489,7 +489,7 @@ def _sterile_window_crawl(runner, k=None, tmp_path=None):
     Returns the result and, per fetch, whether the sterile-window condition
     held, recomputed from the whole window."""
     world = generate_world(crawl_world_spec(6))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], version="v2", window_size=40)
     ready = []
 
@@ -533,7 +533,7 @@ def test_v2_checkpoint_inside_the_window_resumes_to_the_same_bytes(
 
 def test_save_at_zero_fetches_resumes_to_identical_run(tmp_path):
     world = generate_world(crawl_world_spec(8))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     fresh = crawl(world.fresh_source(), cfg)
 
@@ -548,7 +548,7 @@ def test_save_at_zero_fetches_resumes_to_identical_run(tmp_path):
 
 def test_save_state_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     world = generate_world(crawl_world_spec(8))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     src = world.fresh_source()
     first = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=3))
     path = tmp_path / "state.json"
@@ -566,7 +566,7 @@ def test_save_state_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatc
 @pytest.mark.parametrize("k", [1, 9, 23])
 def test_mid_crawl_resume_matches_uninterrupted(tmp_path, k):
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     full = crawl(world.fresh_source(), cfg)
 
@@ -583,7 +583,7 @@ def test_mid_crawl_resume_matches_uninterrupted(tmp_path, k):
 @pytest.mark.parametrize("k", [1, 9, 23])
 def test_fifo_mid_crawl_resume_matches_uninterrupted(tmp_path, k):
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     full = bfs_crawl(world.fresh_source(), cfg)
 
@@ -600,7 +600,7 @@ def test_fifo_resumes_from_renumbered_queue(tmp_path):
     # Older FIFO states number their queue 0..n-1 at priority 0 and set
     # next_seq to the queue length; they must resume in the same order.
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"])
     full = bfs_crawl(world.fresh_source(), cfg)
 
@@ -660,7 +660,7 @@ def _corrupt_huge_node(frontier):
 ])
 def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     src = world.fresh_source()
     part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
     payload = json.loads(part.state.to_json_bytes())
@@ -674,7 +674,7 @@ def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
 
 def test_resume_rejects_other_strategy(tmp_path):
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=4)
     src = world.fresh_source()
     path = tmp_path / "state.json"
@@ -686,7 +686,7 @@ def test_resume_rejects_other_strategy(tmp_path):
 def test_resume_against_other_world_rejected(tmp_path):
     world_a = generate_world(crawl_world_spec(10))
     world_b = generate_world(crawl_world_spec(11))
-    seeds = sorted(world_a.truth.all_members())[:3]
+    seeds = org_members(world_a)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=4)
     res = crawl(world_a.fresh_source(), cfg)
     path = tmp_path / "state.json"
@@ -697,7 +697,7 @@ def test_resume_against_other_world_rejected(tmp_path):
 
 def test_resume_rejects_changed_fixed_config(tmp_path):
     world = generate_world(crawl_world_spec(12))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     res = crawl(world.fresh_source(),
                 CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=4))
     path = tmp_path / "state.json"
@@ -730,7 +730,7 @@ def test_corrupt_state_file_rejected(tmp_path):
 ])
 def test_resume_rejects_a_malformed_config(tmp_path, config, message):
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     src = world.fresh_source()
     part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
     payload = json.loads(part.state.to_json_bytes())
@@ -745,7 +745,7 @@ def test_resume_rejects_a_malformed_config(tmp_path, config, message):
 def test_resume_rejects_a_malformed_profile(tmp_path, case):
     record, message = MALFORMED_PROFILES[case]
     world = generate_world(crawl_world_spec(9))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     src = world.fresh_source()
     part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
     payload = json.loads(part.state.to_json_bytes())
@@ -795,7 +795,7 @@ def _collections_during(call):
 
 def test_state_encode_and_decode_run_no_collection():
     world = generate_world(crawl_world_spec(8))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     state = crawl(world.fresh_source(), CrawlConfig(seeds=seeds, keywords=["acme"])).state
     data, encode_runs = _collections_during(state.to_json_bytes)
     decoded, decode_runs = _collections_during(lambda: CrawlState.from_json_bytes(data))
@@ -809,7 +809,7 @@ def test_state_encode_and_decode_run_no_collection():
 @pytest.mark.parametrize("enabled", [True, False])
 def test_gc_setting_survives_every_paused_call(enabled):
     world = generate_world(crawl_world_spec(8))
-    seeds = sorted(world.truth.all_members())[:3]
+    seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=20)
     data = crawl(world.fresh_source(), cfg).state.to_json_bytes()
     corrupt_frontier = json.loads(data)

@@ -28,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orgminer import (
     MEASURES,
+    CentralityConfig,
     CentralityError,
     CentralityTable,
     GraphError,
@@ -43,14 +44,16 @@ from orgminer import (
     communicability_centrality,
     community_report,
     degree_centrality,
-    eigenvector_centrality,
-    hits,
     infer_roles,
     load_centrality,
-    pagerank,
     rank_nodes,
 )
-from orgminer.centrality import _shortest_path_sweep
+from orgminer.centrality import (
+    _eigenvector_vector,
+    _hits_vectors,
+    _pagerank_vector,
+    _shortest_path_sweep,
+)
 from orgminer.classifiers import DecisionTree, KNearest, RandomForest
 from orgminer.community import (
     CommunityReportRow,
@@ -64,7 +67,7 @@ from orgminer.community import (
 )
 from orgminer.synthworld import _distinct_indices, _pairs_from_indices, generate_world
 
-from conftest import random_graph, small_graphs, two_community_spec
+from conftest import org_members, random_graph, small_graphs, two_community_spec
 from test_synthworld import PINNED_WORLDS
 
 # -- reference tree ensembles ------------------------------------------------------
@@ -415,7 +418,7 @@ def test_greedy_merges_match_reference_on_acceptance_worlds():
     for seed in range(10):
         for disclosure in (1.0, 0.4):
             world = generate_world(two_community_spec(seed, disclosure=disclosure))
-            sub = world.graph.subgraph(sorted(world.truth.all_members()))
+            sub = world.graph.subgraph(org_members(world))
             assert detect_communities(sub).merges == ref_merges(sub)
 
 
@@ -524,7 +527,7 @@ def test_shortest_path_sweep_matches_reference_on_acceptance_worlds():
         for disclosure in (1.0, 0.4):
             world = generate_world(two_community_spec(seed, disclosure=disclosure))
             _assert_sweeps_equal(world.graph)
-            _assert_sweeps_equal(world.graph.subgraph(sorted(world.truth.all_members())))
+            _assert_sweeps_equal(world.graph.subgraph(org_members(world)))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -584,11 +587,10 @@ def test_graph_matches_set_based_reference(data):
     assert g.nodes == ref.nodes
     assert g.edges() == ref.edges
     assert g.num_edges == len(ref.edges)
-    assert all(g.neighbors(v) == ref.adj[v] for v in ref.nodes)
     assert all(g.sorted_neighbors(v) == tuple(sorted(ref.adj[v])) for v in ref.nodes)
-    assert g.degree_sequence() == tuple(len(ref.adj[v]) for v in ref.nodes)
+    assert all(g.degree(v) == len(ref.adj[v]) for v in ref.nodes)
     probe = range(min(ref.nodes) - 1, max(ref.nodes) + 2)
-    assert all(g.has_edge(u, v) == (v in ref.adj.get(u, ())) for u in probe for v in probe)
+    assert all(g.has_node(v) == (v in ref.adj) for v in probe)
     got, want = g.adjacency_matrix(), ref.adjacency_matrix()
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -629,7 +631,7 @@ class RefTable:
     scores: dict[str, dict[int, float]]
     hub_scores: dict[int, float] | None = None
     failures: dict[str, str] = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    iterations: dict[str, int] = field(default_factory=dict)
 
     @property
     def measures(self) -> tuple[str, ...]:
@@ -653,9 +655,8 @@ class RefTable:
             if self.hub_scores:
                 row.append(repr(self.hub_scores[v]))
             lines.append(",".join(row))
-        iteration_notes = self.provenance.get("iterations", {})
-        if iteration_notes:
-            noted = " ".join(f"{m}={iteration_notes[m]}" for m in sorted(iteration_notes))
+        if self.iterations:
+            noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
             lines.append(f"# iterations: {noted}")
         for measure in sorted(self.failures):
             lines.append(f"# failed: {measure}: {self.failures[measure]}")
@@ -688,18 +689,51 @@ def ref_rank_nodes(table: RefTable, measure: str) -> RankedList:
     return RankedList(measure, tuple((int(n), float(s)) for n, s in ordered))
 
 
-def ref_centrality_table(g: SocialGraph, measures, provenance: dict) -> RefTable:
-    """Each measure from its public dict-valued function, at the defaults."""
+def _scores(g: SocialGraph, x: np.ndarray) -> dict[int, float]:
+    return {v: float(x[i]) for i, v in enumerate(g.nodes)}
+
+
+def ref_degree(g: SocialGraph) -> dict[int, float]:
+    """Degree centrality node by node: degree / (n - 1), 0 below two nodes."""
+    n = g.num_nodes
+    if n <= 1:
+        return {v: 0.0 for v in g.nodes}
+    return {v: g.degree(v) / (n - 1) for v in g.nodes}
+
+
+def ref_communicability(g: SocialGraph) -> dict[int, float]:
+    """diag(expm(A)) from one dense eigendecomposition."""
+    eigenvalues, vectors = np.linalg.eigh(g.adjacency_matrix().toarray())
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = vectors**2 @ np.exp(eigenvalues)
+    if not np.isfinite(x).all():
+        raise CentralityError("communicability overflows float64: lambda_max > ln(max float)")
+    return _scores(g, x)
+
+
+def ref_centrality_table(g: SocialGraph, measures, cfg=CentralityConfig()) -> RefTable:
+    """Each measure as a dict keyed by node: degree and communicability from
+    the references above, cl, bc and lc from the reference sweep, and hits,
+    pr and ec from the solvers, whose iteration counts the table notes."""
+    table = RefTable(g.nodes, {})
+
+    def solve(measure, solver):
+        *vectors, table.iterations[measure] = solver(g, cfg.tol, cfg.max_iter)
+        return [_scores(g, x) for x in vectors]
+
+    def sweep(i):
+        return _scores(g, ref_shortest_path_sweep(g)[i])
+
     solvers = {
-        "dg": degree_centrality, "cl": closeness_centrality,
-        "bc": betweenness_centrality, "hits": hits, "pr": pagerank,
-        "ec": eigenvector_centrality, "cc": communicability_centrality,
-        "lc": load_centrality,
+        "dg": lambda: ref_degree(g), "cl": lambda: sweep(0), "bc": lambda: sweep(1),
+        "hits": lambda: solve("hits", _hits_vectors),
+        "pr": lambda: solve("pr", _pagerank_vector)[0],
+        "ec": lambda: solve("ec", _eigenvector_vector)[0],
+        "cc": lambda: ref_communicability(g), "lc": lambda: sweep(2),
     }
-    table = RefTable(g.nodes, {}, provenance=provenance)
     for measure in (m for m in MEASURES if m in measures):
         try:
-            result = solvers[measure](g)
+            result = solvers[measure]()
         except CentralityError as exc:
             table.failures[measure] = str(exc)
         else:
@@ -718,7 +752,10 @@ def _assert_tables_agree(table: CentralityTable, ref: RefTable) -> None:
     assert table.nodes == ref.nodes
     assert table.measures == ref.measures
     assert table.failures == ref.failures
-    assert table.hub_scores == ref.hub_scores
+    if ref.hub_scores is None:
+        assert table.hub is None
+    else:
+        assert table.hub.tolist() == [ref.hub_scores[v] for v in ref.nodes]
     assert table.to_csv_bytes() == ref.to_csv_bytes()
     for measure in table.measures:
         assert _exact(rank_nodes(table, measure)) == _exact(ref_rank_nodes(ref, measure))
@@ -734,12 +771,38 @@ def _assert_tables_agree(table: CentralityTable, ref: RefTable) -> None:
 @given(small_graphs(max_nodes=10), st.sets(st.sampled_from(MEASURES), min_size=1))
 @example(SocialGraph(range(4), []), set(MEASURES))  # edgeless: ec fails
 @example(SocialGraph(range(5), [(0, 1), (2, 3)]), set(MEASURES))  # tied scores
+@example(SocialGraph([7], []), set(MEASURES))  # one node
 def test_centrality_table_matches_dict_reference(g, measures):
     table = centrality_table(g, measures=measures)
-    ref = ref_centrality_table(g, measures, {"iterations": table.provenance["iterations"]})
-    _assert_tables_agree(table, ref)
+    _assert_tables_agree(table, ref_centrality_table(g, measures))
     data = table.to_csv_bytes()
     _assert_tables_agree(CentralityTable.from_csv_bytes(data), RefTable.from_csv_bytes(data))
+
+
+def test_centrality_table_matches_dict_reference_when_solvers_run_out():
+    g = random_graph(3, 8, 0.4)
+    cfg = CentralityConfig(tol=1e-15, max_iter=2)
+    table = centrality_table(g, cfg)
+    assert table.failures["pr"] == "pagerank did not converge in 2 iterations"
+    _assert_tables_agree(table, ref_centrality_table(g, MEASURES, cfg))
+
+
+@given(sweep_graphs())
+@example(SocialGraph([7], []))  # one node
+@example(SocialGraph(range(6), [(1, 2), (2, 4)]))  # isolated nodes
+def test_measure_arrays_match_references(g):
+    cl, bc, lc = ref_shortest_path_sweep(g)
+    references = {
+        degree_centrality: np.array(list(ref_degree(g).values())),
+        closeness_centrality: cl,
+        betweenness_centrality: bc,
+        load_centrality: lc,
+        communicability_centrality: np.array(list(ref_communicability(g).values())),
+    }
+    for measure, want in references.items():
+        got = measure(g)
+        assert got.dtype == np.float64 and got.shape == (g.num_nodes,)
+        assert np.array_equal(got, want), measure.__name__
 
 
 @st.composite
@@ -886,7 +949,7 @@ def test_community_report_matches_two_pass_reference_on_acceptance_worlds():
     for seed in range(10):
         for disclosure in (1.0, 0.4):
             world = generate_world(two_community_spec(seed, disclosure=disclosure))
-            sub = world.graph.subgraph(sorted(world.truth.all_members()))
+            sub = world.graph.subgraph(org_members(world))
             _assert_roles_agree(sub, detect_communities(sub))
 
 

@@ -35,7 +35,9 @@ from orgminer.leadership import (
     precision_table_bytes,
 )
 
-from conftest import leadership_world_spec, random_graph, star_graph, two_community_spec
+from conftest import (
+    leadership_world_spec, org_members, random_graph, star_graph, two_community_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +233,7 @@ def test_stratified_folds_deterministic_per_seed():
 @pytest.fixture(scope="module")
 def world_instances():
     world = generate_world(leadership_world_spec(0, size=160))
-    members = sorted(world.truth.all_members())
+    members = org_members(world)
     sub = world.graph.subgraph(members)
     table = centrality_table(sub, CentralityConfig(tol=1e-10, max_iter=100000))
     labels = {v: v in world.truth.managers for v in members}
@@ -265,7 +267,7 @@ def test_cross_validate_deterministic(world_instances):
 
 def test_evaluate_bundles_everything(world_instances):
     world, table, _ = world_instances
-    members = sorted(world.truth.all_members())
+    members = org_members(world)
     labels = {v: v in world.truth.managers for v in members}
     disclosure = {v: world.truth.disclosure[v] for v in members}
     report = evaluate(table, labels, disclosure, kinds=("zero-r", "logistic"),
@@ -280,7 +282,7 @@ def test_evaluate_bundles_everything(world_instances):
 
 def test_report_table_emitters(world_instances):
     world, table, _ = world_instances
-    members = sorted(world.truth.all_members())
+    members = org_members(world)
     labels = {v: v in world.truth.managers for v in members}
     disclosure = {v: world.truth.disclosure[v] for v in members}
     report = evaluate(table, labels, disclosure, kinds=("zero-r",), folds=5, seed=0)

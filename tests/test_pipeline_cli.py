@@ -31,7 +31,7 @@ from orgminer import (
 
 from orgminer.utils import derive_seed, stable_json
 
-from conftest import two_community_spec, write_half_then_fail
+from conftest import org_members, two_community_spec, write_half_then_fail
 from test_community import MALFORMED_RULES
 from test_graph import MALFORMED_PROFILES
 
@@ -84,7 +84,7 @@ def world_files(tmp_path_factory):
         "profiles": root / "profiles.jsonl",
         "labels": root / "labels.csv",
         "world": world,
-        "members": sorted(world.truth.all_members()),
+        "members": org_members(world),
     }
 
 
@@ -289,6 +289,21 @@ def test_pipeline_import_with_partial_labels_notes_the_gap(world_files, tmp_path
     result = run_pipeline(cfg)
     assert "cv_report.csv" not in result.artifacts
     assert any("do not cover" in n for n in result.notices)
+
+
+def test_cli_pipeline_names_the_line_of_a_bad_community_label(world_files, tmp_path, capsys):
+    lines = world_files["labels"].read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    cells[header.index("community")] = "x"
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    rc = cli.main(["pipeline", "--import-edges", str(world_files["edges"]),
+                   "--import-labels", str(labels), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stage 'import' failed: ")
+    assert err[0].endswith(f"{labels}:2: community must be an integer, got 'x'")
 
 
 def test_pipeline_failure_names_the_stage(tmp_path):

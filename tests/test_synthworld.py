@@ -21,7 +21,7 @@ from orgminer import (
 from orgminer.pipeline import world_artifacts
 from orgminer.utils import derive_seed
 
-from conftest import two_community_spec
+from conftest import org_members, two_community_spec
 
 
 def clique_spec(seed: int = 0) -> WorldSpec:
@@ -151,7 +151,7 @@ def test_intra_prob_one_gives_clique():
     assert len(members) == 10
     for i, u in enumerate(members):
         for v in members[i + 1:]:
-            assert world.graph.has_edge(u, v)
+            assert v in world.graph.sorted_neighbors(u)
 
 
 def test_manager_count_rounds_by_largest_remainder():
@@ -214,9 +214,9 @@ def test_homophily_membership_given_member_friends():
     hits = trials = members_total = nodes_total = 0
     for seed in range(10):
         world = generate_world(two_community_spec(seed))
-        member_set = world.truth.all_members()
+        member_set = set(org_members(world))
         for v in world.graph.nodes:
-            if sum(1 for w in world.graph.neighbors(v) if w in member_set) >= 2:
+            if sum(1 for w in world.graph.sorted_neighbors(v) if w in member_set) >= 2:
                 trials += 1
                 hits += v in member_set
         members_total += len(member_set)
@@ -250,7 +250,7 @@ def test_fetch_profile_contract():
     profile, friends = src.fetch_profile(member)
     assert profile.node == member
     assert len(friends) == 9
-    assert friends == tuple(sorted(world.graph.neighbors(member)))
+    assert friends == world.graph.sorted_neighbors(member)
     # repeat fetch: identical payload, counter still ticks
     again = src.fetch_profile(member)
     assert again == (profile, friends)
@@ -299,7 +299,7 @@ def test_concurrent_first_fetches_agree_on_one_tuple_per_node():
     assert not any(t.is_alive() for t in threads)
     for k, v in enumerate(nodes):
         first = seen[0][k]
-        assert first == tuple(sorted(world.graph.neighbors(v)))
+        assert first == world.graph.sorted_neighbors(v)
         assert all(fetched[k] is first for fetched in seen)
     assert all(src.fetch_count == len(nodes) for src in sources)
 
