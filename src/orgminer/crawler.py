@@ -1,10 +1,11 @@
 """Focused crawler that prioritizes candidates by confirmed-member friends.
 
-The frontier is a max-priority queue over int heap keys. A candidate's
-priority equals the number of already-confirmed members known to be its
-friends, so the crawler fetches the most promising profiles first. Profiles
-matching a keyword (normalized once per crawl) are confirmed and their
-friend lists feed the frontier; the rest are counted but never expanded.
+The frontier is a max-priority queue of per-priority buckets of sequence
+numbers. A candidate's priority equals the number of already-confirmed
+members known to be its friends, so the crawler fetches the most promising
+profiles first. Profiles matching a keyword (normalized once per crawl) are
+confirmed and their friend lists feed the frontier; the rest are counted
+but never expanded.
 
 Stopping:
 
@@ -18,18 +19,20 @@ and never raises it, so the same frontier pops in first-enqueue order.
 Widths above 1 fetch a batch in parallel and apply it in pop order, so
 every crawl is deterministic.
 
-A state's config decodes as strictly as it was written: an unknown key or
-a value of the wrong JSON type is a ``StateError``. Encoding and decoding
-a crawl state run with cyclic GC paused (``utils.gc_paused``): the
-payload is tens of thousands of acyclic lists and dicts, and without the
-pause a checkpoint or resume pays for full collections over every object
-of the world being crawled.
+A state decodes as strictly as it was written: an unknown config key, a
+value of the wrong JSON type, or a bool, float or string where an integer
+belongs is a ``StateError``. Encoding and decoding a crawl state run
+with cyclic GC paused (``utils.gc_paused``): the payload is tens of
+thousands of acyclic lists and dicts, and without the pause a checkpoint
+or resume pays for full collections over every object of the world being
+crawled.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -57,15 +60,26 @@ def _normalize(text: str) -> str:
 
 
 def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
-    """``keyword_match`` with ``keywords`` normalized once. A normalized
-    needle holds no newline, so no match spans two newline-joined fields."""
+    """``keyword_match`` with ``keywords`` normalized once.
+
+    A normalized needle holds no newline, so no match spans two
+    newline-joined fields. A profile is normalized only once the longest
+    word of some needle occurs in its case-folded raw text: ``casefold``
+    maps one character at a time and normalizing only rewrites runs of
+    whitespace, so every word of a matching needle occurs there too."""
     needles = [n for n in map(_normalize, keywords) if n]
+    words = list(dict.fromkeys(max(n.split(" "), key=len) for n in needles))
 
     def match(profile: Profile) -> bool:
-        text = "\n".join(map(_normalize, profile.text_fields()))
-        for needle in needles:
-            if needle in text:
-                return True
+        fields = profile.text_fields()
+        raw = "\n".join(fields).casefold()
+        for word in words:
+            if word in raw:
+                text = "\n".join(map(_normalize, fields))
+                for needle in needles:
+                    if needle in text:
+                        return True
+                return False
         return False
 
     return match
@@ -112,29 +126,38 @@ class CrawlConfig:
         return decode_dataclass(cls, d, StateError, "crawl config")
 
 
-_SEQ_MASK = (1 << 48) - 1  # seqs lie in [0, 2**48)
-_NODE_MASK, _OFFSET = (1 << 64) - 1, 1 << 63  # the low 64 bits hold int64 id + 2**63
-_PRIORITY_SHIFT = 48 + 64
+_INT64 = 1 << 63  # node ids lie in [-2**63, 2**63)
+_MAX_SEQ = (1 << 48) - 1  # a saved next_seq lies in [0, 2**48)
 
 
-def _key(priority: int, seq: int, node: int) -> int:
-    """One int that sorts like ``(-priority, seq, node)`` for seq < 2**48, int64 node."""
-    return (((-priority << 48) + seq) << 64) + node + _OFFSET
+def _check_ints(values, what: str, low: int | None = None, high: int | None = None) -> None:
+    """StateError unless every value is a plain int (not a bool, a float or
+    a string) in ``[low, high]``. Each check is one bulk pass over the column."""
+    if not set(map(type, values)) <= {int}:
+        raise StateError(f"corrupt crawl state: {what} must hold integers only")
+    if values and (low is not None and min(values) < low
+                   or high is not None and max(values) > high):
+        raise StateError(f"corrupt crawl state: {what} out of [{low}, {high}]")
 
 
 class Frontier:
     """Max-priority queue with FIFO tie-break by first enqueue order.
 
-    Priority increases keep the original sequence number, so two
-    candidates at equal priority dequeue in the order they first
-    appeared. A heap row is the int ``_key(priority, seq, node)``; a row
-    is live while it equals its node's entry, and other rows are discarded
-    lazily. Node ids may be any int64.
+    A push takes the next sequence number and a priority increase keeps
+    it, so two candidates at equal priority dequeue in the order they first
+    appeared. Each priority has a bucket, a min-heap of seqs, and the
+    priorities with a bucket sit in a max-heap. A bucket row is live while
+    ``_prios`` maps its seq to the bucket's priority; other rows are
+    discarded lazily. ``_nodes`` and ``_prios`` hold live seqs only. Node
+    ids may be any int64.
     """
 
     def __init__(self):
-        self._heap: list[int] = []
-        self._entries: dict[int, int] = {}  # node -> its live heap key
+        self._entries: dict[int, int] = {}  # node -> seq
+        self._nodes: dict[int, int] = {}  # seq -> node
+        self._prios: dict[int, int] = {}  # seq -> priority
+        self._buckets: dict[int, list[int]] = {}  # priority -> min-heap of seqs
+        self._levels: list[int] = []  # the negated priorities of the buckets, a heap
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -143,64 +166,117 @@ class Frontier:
     def __contains__(self, node: int) -> bool:
         return node in self._entries
 
+    def _add_row(self, seq: int, priority: int) -> None:
+        """Add a row for ``seq`` to the bucket of ``priority``; push and
+        increase inline the common case, a bucket that exists."""
+        bucket = self._buckets.get(priority)
+        if bucket is None:
+            self._buckets[priority] = [seq]
+            heapq.heappush(self._levels, -priority)
+        else:
+            heapq.heappush(bucket, seq)
+
     def push(self, node: int, priority: int) -> None:
         if node in self._entries:
             raise CrawlError(f"node {node} already queued")
-        if not -_OFFSET <= node < _OFFSET:
+        if not -_INT64 <= node < _INT64:
             raise CrawlError(f"node id {node} is outside the int64 range")
-        key = self._entries[node] = _key(priority, self._next_seq, node)
-        self._next_seq += 1
-        heapq.heappush(self._heap, key)
+        seq = self._entries[node] = self._next_seq
+        self._next_seq = seq + 1
+        self._nodes[seq] = node
+        self._prios[seq] = priority
+        bucket = self._buckets.get(priority)
+        if bucket is None:
+            self._add_row(seq, priority)
+        else:
+            bucket.append(seq)  # the largest seq yet, so the bucket stays a heap
 
     def increase(self, node: int, by: int = 1) -> None:
-        key = self._entries[node] = self._entries[node] - (by << _PRIORITY_SHIFT)
-        heapq.heappush(self._heap, key)
-
-    def pop(self) -> tuple[int, int]:
-        while self._heap:
-            key = heapq.heappop(self._heap)
-            if self._entries.get(node := (key & _NODE_MASK) - _OFFSET) == key:
-                del self._entries[node]
-                return node, -(key >> _PRIORITY_SHIFT)
-        raise CrawlError("frontier is empty")
+        seq = self._entries[node]
+        priority = self._prios[seq] = self._prios[seq] + by
+        bucket = self._buckets.get(priority)
+        if bucket is None:
+            self._add_row(seq, priority)
+        else:
+            heapq.heappush(bucket, seq)
 
     def max_priority(self) -> int | None:
-        heap, entries = self._heap, self._entries
-        while heap and entries.get((heap[0] & _NODE_MASK) - _OFFSET) != heap[0]:
-            heapq.heappop(heap)
-        return -(heap[0] >> _PRIORITY_SHIFT) if heap else None
+        levels, buckets, prios = self._levels, self._buckets, self._prios
+        while levels:
+            priority = -levels[0]
+            bucket = buckets[priority]
+            while bucket:
+                if prios.get(bucket[0]) == priority:
+                    return priority
+                heapq.heappop(bucket)
+            heapq.heappop(levels)
+            del buckets[priority]
+        return None
+
+    def pop(self) -> tuple[int, int]:
+        node, priority, _seq = self._take()
+        return node, priority
+
+    def _take(self) -> tuple[int, int, int]:
+        """Pop the top row as ``(node, priority, seq)``."""
+        priority = self.max_priority()
+        if priority is None:
+            raise CrawlError("frontier is empty")
+        seq = heapq.heappop(self._buckets[priority])
+        node = self._nodes.pop(seq)
+        del self._prios[seq], self._entries[node]
+        if not self._entries:  # an emptied dict keeps its table until cleared
+            for live in (self._entries, self._nodes, self._prios):
+                live.clear()
+        return node, priority, seq
+
+    def _put_back(self, rows: Sequence[tuple[int, int, int]]) -> None:
+        """Undo the ``_take`` of each ``(node, priority, seq)`` row."""
+        for node, priority, seq in rows:
+            self._entries[node] = seq
+            self._nodes[seq] = node
+            self._prios[seq] = priority
+            self._add_row(seq, priority)
 
     def items(self) -> dict[int, int]:
-        return {node: -(key >> _PRIORITY_SHIFT) for node, key in self._entries.items()}
+        prios = self._prios
+        return {node: prios[seq] for node, seq in self._entries.items()}
 
     # -- persistence ------------------------------------------------------
 
     def dump(self) -> dict:
-        rows = sorted(
-            ((key >> 64) & _SEQ_MASK, node, -(key >> _PRIORITY_SHIFT))
-            for node, key in self._entries.items()
-        )
+        nodes, prios = self._nodes, self._prios
         return {
             "next_seq": self._next_seq,
-            "entries": [[node, prio, seq] for seq, node, prio in rows],
+            "entries": [[nodes[seq], prios[seq], seq] for seq in sorted(nodes)],
         }
 
     @classmethod
     def restore(cls, data: dict) -> "Frontier":
-        """Rebuild a dumped frontier; a bad or repeated node or seq: StateError."""
+        """Rebuild a dumped frontier. A row that is not three ints, a node
+        outside int64, a repeated node or seq, or a seq outside
+        ``[0, next_seq)``: StateError. Nothing is sized by ``next_seq``."""
+        next_seq, rows = data["next_seq"], data["entries"]
+        _check_ints([next_seq], "frontier next_seq", 0, _MAX_SEQ)
+        if type(rows) is not list or not (
+            set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+        ):
+            raise StateError("corrupt crawl state: frontier rows must be [node, priority, seq]")
         f = cls()
-        f._next_seq = next_seq = int(data["next_seq"])
-        entries, seqs = f._entries, set()
-        for node, prio, seq in (map(int, row) for row in data["entries"]):
-            if (node in entries or seq in seqs or not -_OFFSET <= node < _OFFSET
-                    or not 0 <= seq < next_seq <= _SEQ_MASK):
-                raise StateError(f"corrupt frontier: node {node} or seq {seq}")
-            seqs.add(seq)
-            entries[node] = _key(prio, seq, node)
-        if not 0 <= next_seq <= _SEQ_MASK:
-            raise StateError(f"corrupt frontier: next_seq {next_seq} out of range")
-        f._heap = list(entries.values())
-        heapq.heapify(f._heap)
+        f._next_seq = next_seq
+        if not rows:
+            return f
+        nodes, prios, seqs = zip(*rows)
+        _check_ints(nodes, "frontier nodes", -_INT64, _INT64 - 1)
+        _check_ints(prios, "frontier priorities")
+        _check_ints(seqs, "frontier seqs", 0, next_seq - 1)
+        f._entries = dict(zip(nodes, seqs))
+        f._nodes = dict(zip(seqs, nodes))
+        if len(f._entries) < len(rows) or len(f._nodes) < len(rows):
+            raise StateError("corrupt crawl state: a frontier node or seq repeats")
+        f._prios = dict(zip(seqs, prios))
+        for seq, priority in f._prios.items():
+            f._add_row(seq, priority)
         return f
 
 
@@ -294,22 +370,37 @@ class CrawlState:
             if strategy not in ("priority", "fifo"):
                 raise StateError(f"unknown strategy {strategy!r}")
             frontier = Frontier.restore(payload["frontier"])
-            window: deque = deque(maxlen=config.window_size)
-            window.extend(int(x) for x in payload["window"])
+            crawled, confirmed, edges, window = (
+                payload[k] for k in ("crawled", "confirmed", "edges", "window"))
+            _check_ints(crawled, "crawled")
+            _check_ints(confirmed, "confirmed")
+            _check_ints(window, "window", 0, 1)
+            _check_ints([payload["fetch_count"], payload["not_found"]], "counts", 0)
+            if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
+                raise StateError("corrupt crawl state: edges must be [u, v] pairs")
+            us, vs = tuple(zip(*edges)) or ((), ())
+            _check_ints(us + vs, "edges")
+            crawled, confirmed = set(crawled), set(confirmed)
+            if not confirmed <= crawled:
+                raise StateError("corrupt crawl state: a confirmed node was never crawled")
+            if not set(us).union(vs) <= confirmed or any(map(operator.ge, us, vs)):
+                raise StateError(
+                    "corrupt crawl state: an edge must join two confirmed nodes, smaller id first")
+            records = payload["profiles"]
+            profiles = [profile_from_dict(d) for d in records.values()]
+            if [str(p.node) for p in profiles] != list(records):
+                raise StateError("corrupt crawl state: a profile key is not its node id")
             state = cls(
                 config=config,
                 strategy=strategy,
                 frontier=frontier,
-                crawled=set(map(int, payload["crawled"])),
-                confirmed=set(map(int, payload["confirmed"])),
-                edges={(int(u), int(v)) for u, v in payload["edges"]},
-                profiles={
-                    int(v): profile_from_dict(d)
-                    for v, d in payload["profiles"].items()
-                },
-                window=window,
-                fetch_count=int(payload["fetch_count"]),
-                not_found=int(payload["not_found"]),
+                crawled=crawled,
+                confirmed=confirmed,
+                edges=set(zip(us, vs)),
+                profiles={p.node: p for p in profiles},
+                window=deque(window, maxlen=config.window_size),
+                fetch_count=payload["fetch_count"],
+                not_found=payload["not_found"],
                 fingerprint=str(payload["fingerprint"]),
             )
         except StateError:
@@ -415,30 +506,39 @@ def bfs_crawl(
 
 def _fetch_one(src: FetchSource, node: int):
     try:
-        return node, src.fetch_profile(node)
+        return src.fetch_profile(node)
     except (UnknownProfileError, KeyError):
-        return node, None
+        return None
 
 
 def _run(
     src: FetchSource, state: CrawlState, audit_hook: AuditHook | None
 ) -> CrawlResult:
+    """Fetch batches of up to ``concurrency_width`` popped nodes. A batch is
+    applied only once every fetch in it has returned, in pop order; when a
+    fetch raises, its popped rows go back to the frontier as they were and
+    the error propagates, so the state stays one that resumes exactly."""
     cfg = state.config
     frontier, window = state.frontier, state.window
+    entries, take = frontier._entries, frontier._take
+    push, increase = frontier.push, frontier.increase
+    crawled, confirmed, edges = state.crawled, state.confirmed, state.edges
     focused = state.strategy == "priority"
+    base = 1 if focused else 0
     match = _matcher(cfg.keywords)
     budget = cfg.max_fetches
+    v2, window_size = cfg.version == "v2", cfg.window_size
     stop_reason: str | None = None
     truncated = False
     hits = sum(window)  # confirmations among the last window_size fetches
 
     def window_stop_ready() -> bool:
-        if cfg.version != "v2" or hits or len(window) < cfg.window_size:
+        if hits or len(window) < window_size:
             return False
         top = frontier.max_priority()
         return top is None or top <= 1
 
-    if window_stop_ready() and len(frontier) > 0:
+    if v2 and window_stop_ready() and entries:
         stop_reason = "window-stop"
 
     executor = (
@@ -449,23 +549,30 @@ def _run(
     fetch = partial(_fetch_one, src)
     try:
         while stop_reason is None:
-            if len(frontier) == 0:
+            if not entries:
                 stop_reason = "frontier-exhausted"
                 break
             if budget is not None and state.fetch_count >= budget:
                 stop_reason = "budget"
                 truncated = True
                 break
-            width = cfg.concurrency_width
-            if budget is not None:
-                width = min(width, budget - state.fetch_count)
-            batch: list[int] = []
-            while len(batch) < width and len(frontier) > 0:
-                node, _priority = frontier.pop()
-                state.crawled.add(node)
-                batch.append(node)
-            results = map(fetch, batch) if executor is None else executor.map(fetch, batch)
-            for node, fetched in results:
+            if executor is None:  # width 1: a one-row batch, fetched in this thread
+                rows = (take(),)
+                batch = (rows[0][0],)
+            else:
+                width = cfg.concurrency_width
+                if budget is not None:
+                    width = min(width, budget - state.fetch_count)
+                rows = [take() for _ in range(min(width, len(entries)))]
+                batch = [row[0] for row in rows]
+            try:
+                results = (
+                    (fetch(batch[0]),) if executor is None else list(executor.map(fetch, batch)))
+            except BaseException:
+                frontier._put_back(rows)
+                raise
+            crawled.update(batch)
+            for node, fetched in zip(batch, results):
                 state.fetch_count += 1
                 hit = 0
                 if fetched is None:
@@ -474,26 +581,26 @@ def _run(
                     profile, friends = fetched
                     if match(profile):
                         hit = 1
-                        state.confirmed.add(node)
+                        confirmed.add(node)
                         state.profiles[node] = profile
+                        # confirmed is a subset of crawled (decode checks
+                        # it), so a crawled friend is an edge when confirmed
+                        # and is never queued
                         for friend in friends:
-                            if friend in state.confirmed:
-                                key = (node, friend) if node < friend else (friend, node)
-                                state.edges.add(key)
-                        for friend in friends:
-                            if friend == node or friend in state.crawled:
-                                continue
-                            if friend not in frontier:
-                                frontier.push(friend, 1 if focused else 0)
+                            if friend in crawled:
+                                if friend in confirmed:
+                                    edges.add((node, friend) if node < friend else (friend, node))
+                            elif friend not in entries:
+                                push(friend, base)
                             elif focused:
-                                frontier.increase(friend)
-                if len(window) == window.maxlen:
+                                increase(friend)
+                if len(window) == window_size:
                     hits -= window[0]
                 window.append(hit)
                 hits += hit
                 if audit_hook is not None:
                     audit_hook(state, node)
-                if stop_reason is None and window_stop_ready():
+                if v2 and stop_reason is None and window_stop_ready():
                     stop_reason = "window-stop"
     finally:
         if executor is not None:

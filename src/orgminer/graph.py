@@ -479,20 +479,24 @@ def _parse_bool(token: str, name: str, line_no: int) -> bool | None:
 def load_labels(source: str | Path | bytes) -> dict[int, LabelRow]:
     """Parse a label CSV into a node -> LabelRow map."""
     name, text = _read_text(source)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(lines)
+    # number the lines before dropping comments, so errors name file lines
+    kept = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+            if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in kept)
     try:
         header = next(reader)
     except StopIteration:
         raise GraphParseError(name, 1, "empty label file")
+    line_no = kept[reader.line_num - 1][0]
     header = [h.strip() for h in header]
     if "node" not in header:
-        raise GraphParseError(name, 1, "label file needs a 'node' column")
+        raise GraphParseError(name, line_no, "label file needs a 'node' column")
     unknown = set(header) - set(_LABEL_COLUMNS)
     if unknown:
-        raise GraphParseError(name, 1, f"unknown label columns {sorted(unknown)}")
+        raise GraphParseError(name, line_no, f"unknown label columns {sorted(unknown)}")
     out: dict[int, LabelRow] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = kept[reader.line_num - 1][0]
         if not row or all(not cell.strip() for cell in row):
             continue
         cells = dict(zip(header, row))

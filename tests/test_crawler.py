@@ -1,9 +1,11 @@
+import functools
 import gc
 import heapq
 import itertools
 import json
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -30,6 +32,7 @@ from orgminer.utils import stable_json
 
 from conftest import crawl_world_spec, org_members, write_half_then_fail
 from test_graph import MALFORMED_PROFILES
+from test_pinned_outputs import crawl_world
 
 
 def make_source(nodes, edges, employers):
@@ -109,6 +112,27 @@ def test_keyword_match_equals_the_regex_reference(employers, name, position, key
     for text in (*employers, name, position, *keywords):
         assert _normalize(text) == ref_normalize(text)
     assert keyword_match(p, keywords) == ref_keyword_match(p, keywords)
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x85\xa0", "\u2028 "])
+
+
+@given(
+    words=st.lists(st.sampled_from(["acme", "Corp", "stra\u00dfe", "\u0130nc", "x"]),
+                   min_size=1, max_size=3),
+    gaps=st.lists(_GAPS, min_size=1, max_size=3),
+    prefix=_TRICKY,
+    suffix=_TRICKY,
+)
+def test_keyword_prefilter_keeps_every_case_and_whitespace_variant(words, gaps, prefix, suffix):
+    # the keyword's words, case-swapped (so casefold changes length) and
+    # split by other whitespace runs: a match once both sides are normalized
+    cycle = itertools.cycle(gaps)
+    text = prefix + " " + "".join(w.swapcase() + next(cycle) for w in words) + suffix
+    p = Profile(node=0, employers=(text,), name=prefix)
+    keyword = " ".join(words)
+    assert keyword_match(p, [keyword])
+    assert ref_keyword_match(p, [keyword])
 
 
 def test_keyword_match_ignores_empty_and_blank_keywords():
@@ -277,6 +301,29 @@ def test_frontier_rejects_node_ids_outside_the_key_range(node):
     assert [f.pop() for _ in range(2)] == [(-(2**63), 3), (2**63 - 1, 3)]
 
 
+def test_frontier_restore_takes_plain_ints_only():
+    with pytest.raises(StateError):
+        Frontier.restore({"next_seq": 3, "entries": [[5.7, 1, 0], ["7", True, 1], [9, 2.9, 2]]})
+    for row in ([5.7, 1, 0], ["7", 1, 0], [7, True, 0], [9, 2.9, 0], [9, 1, False]):
+        with pytest.raises(StateError):
+            Frontier.restore({"next_seq": 3, "entries": [row]})
+    for next_seq in (True, 3.0, "3", None):
+        with pytest.raises(StateError):
+            Frontier.restore({"next_seq": next_seq, "entries": []})
+
+
+def test_frontier_restore_allocates_nothing_per_seq():
+    tracemalloc.start()
+    try:
+        f = Frontier.restore({"next_seq": 2**48 - 1, "entries": [[1, 0, 0]]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert f.pop() == (1, 0)
+    assert f.dump() == {"next_seq": 2**48 - 1, "entries": []}
+
+
 def test_crawl_and_resume_over_negative_node_ids(tmp_path):
     src = make_source([-5, -1, 3], [(-5, -1), (-5, 3), (-1, 3)],
                       {-5: ("acme",), -1: ("acme",), 3: ("acme",)})
@@ -406,6 +453,45 @@ class LastFirstSource:
     def fetch_profile(self, node):
         time.sleep(0.01 * (3 - next(self._calls) % 4))
         return self.inner.fetch_profile(node)
+
+
+class FailingSource:
+    """Wraps a source so that its ``fail_at``-th fetch raises ConnectionError."""
+
+    def __init__(self, inner, fail_at):
+        self.inner = inner
+        self.fingerprint = inner.fingerprint
+        self.fail_at = fail_at
+        self._calls = itertools.count(1)
+
+    @property
+    def fetch_count(self) -> int:
+        return self.inner.fetch_count
+
+    def fetch_profile(self, node):
+        if next(self._calls) == self.fail_at:
+            raise ConnectionError(f"fetch {self.fail_at} dropped")
+        return self.inner.fetch_profile(node)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_interrupted_crawl_resumes_to_the_uninterrupted_bytes(tmp_path, width):
+    world, cfg = crawl_world(1)
+    cfg = replace(cfg, concurrency_width=width)
+    full = crawl(world.fresh_source(), cfg)
+    assert full.stats.fetched == 946
+    path = tmp_path / "state.json"
+    for k in (1, 2, 3, 4, 5, 199, 200, 613, 945, 946):
+        src = FailingSource(world.fresh_source(), k)
+        state = CrawlState.fresh(cfg, src.fingerprint)
+        with pytest.raises(ConnectionError):
+            crawl(src, cfg, state)
+        # nothing of the failed batch is applied, nor is any of it crawled
+        assert len(state.crawled) == state.fetch_count < k
+        save_state(state, path)
+        src = world.fresh_source()
+        done = crawl(src, cfg, resume(path, src))
+        assert done.state.to_json_bytes() == full.state.to_json_bytes(), k
 
 
 @pytest.mark.parametrize("runner", [crawl, bfs_crawl])
@@ -653,10 +739,112 @@ def _corrupt_huge_node(frontier):
     frontier["entries"][0][0] = 2**63
 
 
+def _corrupt_float_node(frontier):
+    frontier["entries"][0][0] += 0.5
+
+
+def _corrupt_string_node(frontier):
+    frontier["entries"][0][0] = str(frontier["entries"][0][0])
+
+
+def _corrupt_bool_priority(frontier):
+    frontier["entries"][0][1] = True
+
+
+def _corrupt_float_priority(frontier):
+    frontier["entries"][0][1] += 0.9
+
+
+def _corrupt_float_seq(frontier):
+    frontier["entries"][0][2] = float(frontier["entries"][0][2])
+
+
+def _corrupt_string_next_seq(frontier):
+    frontier["next_seq"] = str(frontier["next_seq"])
+
+
+def _corrupt_float_next_seq(frontier):
+    frontier["next_seq"] = float(frontier["next_seq"])
+
+
+def _in_frontier(corrupt):
+    """``corrupt`` applied to the frontier of a state payload."""
+    @functools.wraps(corrupt)
+    def on_payload(payload):
+        corrupt(payload["frontier"])
+    return on_payload
+
+
+def _corrupt_float_crawled(payload):
+    payload["crawled"][0] = float(payload["crawled"][0])
+
+
+def _corrupt_string_confirmed(payload):
+    payload["confirmed"][0] = str(payload["confirmed"][0])
+
+
+def _corrupt_bool_edge(payload):
+    payload["edges"][0][1] = True
+
+
+def _corrupt_short_edge(payload):
+    payload["edges"][0].pop()
+
+
+def _corrupt_float_window(payload):
+    payload["window"][0] = float(payload["window"][0])
+
+
+def _corrupt_window_flag(payload):
+    payload["window"][0] = 2
+
+
+def _corrupt_string_fetch_count(payload):
+    payload["fetch_count"] = str(payload["fetch_count"])
+
+
+def _corrupt_bool_not_found(payload):
+    payload["not_found"] = False
+
+
+def _corrupt_float_not_found(payload):
+    payload["not_found"] = 0.0
+
+
+def _corrupt_confirmed_never_crawled(payload):
+    payload["confirmed"].append(max(payload["crawled"]) + 1)
+
+
+def _corrupt_edge_to_unknown_nodes(payload):
+    payload["edges"].append([10**9, 10**9 + 1])
+
+
+def _corrupt_reversed_edge(payload):
+    payload["edges"][0].reverse()
+
+
+def _corrupt_profile_key(payload):
+    key = next(iter(payload["profiles"]))
+    payload["profiles"][f" +{key}"] = payload["profiles"].pop(key)
+
+
+def _corrupt_profile_node(payload):
+    next(iter(payload["profiles"].values()))["node"] += 1
+
+
 @pytest.mark.parametrize("corrupt", [
-    _corrupt_duplicate_seq, _corrupt_duplicate_node, _corrupt_negative_seq,
-    _corrupt_seq_at_next_seq, _corrupt_huge_next_seq, _corrupt_long_row,
-    _corrupt_negative_node, _corrupt_huge_node,
+    *map(_in_frontier, [
+        _corrupt_duplicate_seq, _corrupt_duplicate_node, _corrupt_negative_seq,
+        _corrupt_seq_at_next_seq, _corrupt_huge_next_seq, _corrupt_long_row,
+        _corrupt_negative_node, _corrupt_huge_node, _corrupt_float_node,
+        _corrupt_string_node, _corrupt_bool_priority, _corrupt_float_priority,
+        _corrupt_float_seq, _corrupt_string_next_seq, _corrupt_float_next_seq,
+    ]),
+    _corrupt_float_crawled, _corrupt_string_confirmed, _corrupt_bool_edge,
+    _corrupt_short_edge, _corrupt_float_window, _corrupt_window_flag,
+    _corrupt_string_fetch_count, _corrupt_bool_not_found, _corrupt_float_not_found,
+    _corrupt_confirmed_never_crawled, _corrupt_edge_to_unknown_nodes, _corrupt_reversed_edge,
+    _corrupt_profile_key, _corrupt_profile_node,
 ])
 def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     world = generate_world(crawl_world_spec(9))
@@ -665,7 +853,8 @@ def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
     payload = json.loads(part.state.to_json_bytes())
     assert len(payload["frontier"]["entries"]) >= 2
-    corrupt(payload["frontier"])
+    assert payload["edges"] and 1 in payload["window"] and payload["confirmed"]
+    corrupt(payload)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(StateError):

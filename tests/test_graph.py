@@ -229,6 +229,17 @@ def test_load_labels_rejects_duplicates_and_bad_booleans():
         load_labels(b"node,community\n1,4\n2,x\n")
 
 
+def test_load_labels_errors_name_the_file_line_past_comments():
+    with pytest.raises(GraphParseError, match="<bytes>:5: community must be an integer, got 'x'"):
+        load_labels(b"# a comment\n# another\nnode,community\n1,4\n2,x\n")
+    with pytest.raises(GraphParseError, match="<bytes>:5: bad boolean 'maybe'"):
+        load_labels(b"node,is_manager\n# note\n1,true\n\n2,maybe\n")
+    with pytest.raises(GraphParseError, match=r"<bytes>:2: unknown label columns \['colour'\]"):
+        load_labels(b"# a comment\nnode,colour\n1,red\n")
+    with pytest.raises(GraphParseError, match="<bytes>:3: label file needs a 'node' column"):
+        load_labels(b"# a comment\n# another\nid,community\n")
+
+
 # -- anonymization ------------------------------------------------------------
 
 
