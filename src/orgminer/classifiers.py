@@ -16,7 +16,6 @@ score all rows level by level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +30,14 @@ CLASSIFIER_NAMES = (
     "logistic",
     "random-forest",
 )
+
+# the one configuration of the models: the fewest training rows in a one-r
+# bin, the logistic model's ridge and cap on Newton steps, and the number
+# of trees in a forest. Trees have no depth cap and may split to one row.
+_MIN_BUCKET = 6
+_RIDGE = 1e-8
+_NEWTON_STEPS = 60
+_N_TREES = 100
 
 
 class ClassifierError(ValueError):
@@ -58,6 +65,19 @@ def _standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+# a feature column whose largest |value| passes this enters every model
+# scaled by a power of two, so no square or variance overflows
+_HUGE = 2.0**500
+
+
+def _exponents(X: np.ndarray) -> np.ndarray:
+    """Per column, the power of two that brings a column past ``_HUGE`` into
+    [0.5, 1), and 0 for the rest. ``np.ldexp`` by it is exact away from
+    subnormals, so z-scores, orderings and split points keep their bits."""
+    peak = np.abs(X).max(axis=0)
+    return np.where(peak > _HUGE, -np.frexp(peak)[1], 0)
+
+
 class BaseClassifier:
     name = "base"
     # majority voters (zero-r, one-r) prefer class 0 on an exact one-half tie
@@ -80,7 +100,8 @@ class BaseClassifier:
             self._trained = True
             return self
         self._fallback = None
-        self._fit(X, y)
+        self._exponents = _exponents(X)
+        self._fit(np.ldexp(X, self._exponents), y)
         self._trained = True
         return self
 
@@ -93,7 +114,7 @@ class BaseClassifier:
         X = np.asarray(X, dtype=np.float64)
         if self._fallback is not None:
             return self._fallback.scores(X)
-        return self._scores(X)
+        return self._scores(np.ldexp(X, self._exponents))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.labels(self.scores(X))
@@ -128,19 +149,13 @@ class ZeroR(BaseClassifier):
 class OneR(BaseClassifier):
     """Single best feature, discretized into equal-frequency bins.
 
-    Each bin must hold at least `min_bucket` training rows (the classic
+    Each bin must hold at least `_MIN_BUCKET` training rows (the classic
     small-bucket guard), the winning feature is the one with the highest
     training accuracy, and ties go to the lower feature index.
     """
 
     name = "one-r"
     strict_majority = True
-
-    def __init__(self, min_bucket: int = 6) -> None:
-        super().__init__()
-        if min_bucket < 1:
-            raise ClassifierError("min_bucket must be positive")
-        self.min_bucket = min_bucket
 
     @property
     def feature(self) -> int:
@@ -150,7 +165,7 @@ class OneR(BaseClassifier):
 
     def _bin_edges(self, values: np.ndarray) -> np.ndarray:
         n = values.shape[0]
-        bins = max(1, min(10, n // self.min_bucket))
+        bins = max(1, min(10, n // _MIN_BUCKET))
         if bins == 1:
             return np.empty(0)
         quantiles = np.quantile(values, np.linspace(0, 1, bins + 1)[1:-1])
@@ -266,7 +281,7 @@ class _Trees:
     any other (NaN too) to ``children[i, 1]``; a leaf is its own child.
     """
 
-    def __init__(self, X, y, counts, min_leaf, max_depth, max_features, rng) -> None:
+    def __init__(self, X, y, counts, max_features, rng) -> None:
         d = X.shape[1]
         n_draw = max_features if max_features is not None and max_features < d else 0
         order = np.argsort(X, axis=0, kind="mergesort").T  # d x n
@@ -283,7 +298,7 @@ class _Trees:
             cum_pos = weight_pos[features][keep].reshape(sv.shape).cumsum(axis=1)
             left_n, left_pos = cum_n[:, :-1], cum_pos[:, :-1]
             right_n = tot - left_n
-            usable = (sv[:, 1:] > sv[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+            usable = sv[:, 1:] > sv[:, :-1]
             if not usable.any():
                 return None
             p = pos / tot
@@ -312,8 +327,7 @@ class _Trees:
             threshold.append(0.0)
             children.append([i, i])
             self.depth = max(self.depth, depth)
-            deep = max_depth is not None and depth >= max_depth
-            if pos in (0, tot) or tot < 2 * min_leaf or deep:
+            if pos in (0, tot):
                 return i
             features = np.sort(rng.choice(d, n_draw, replace=False)) if n_draw else every
             split = best_split(member, tot, pos, features)
@@ -353,16 +367,9 @@ class DecisionTree(BaseClassifier):
 
     name = "decision-tree"
 
-    def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
-        super().__init__()
-        if min_leaf < 1:
-            raise ClassifierError("min_leaf must be positive")
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         ones = np.ones(X.shape[0], dtype=np.int64)
-        self._trees = _Trees(X, y, [ones], self.min_leaf, self.max_depth, None, None)
+        self._trees = _Trees(X, y, [ones], None, None)
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return self._trees.leaf_rates(X)[0]
@@ -377,11 +384,6 @@ class LogisticRegression(BaseClassifier):
 
     name = "logistic"
 
-    def __init__(self, ridge: float = 1e-8, max_iter: int = 60) -> None:
-        super().__init__()
-        self.ridge = ridge
-        self.max_iter = max_iter
-
     def _design(self, X: np.ndarray) -> np.ndarray:
         Z = (X - self._mean) / self._std
         return np.hstack([np.ones((Z.shape[0], 1)), Z])
@@ -390,12 +392,12 @@ class LogisticRegression(BaseClassifier):
         self._mean, self._std = _standardizer(X)
         D = self._design(X)
         beta = np.zeros(D.shape[1])
-        for _ in range(self.max_iter):
+        for _ in range(_NEWTON_STEPS):
             z = np.clip(D @ beta, -35.0, 35.0)
             p = 1.0 / (1.0 + np.exp(-z))
             w = np.maximum(p * (1.0 - p), 1e-12)
-            grad = D.T @ (y - p) - self.ridge * beta
-            hess = (D * w[:, None]).T @ D + self.ridge * np.eye(D.shape[1])
+            grad = D.T @ (y - p) - _RIDGE * beta
+            hess = (D * w[:, None]).T @ D + _RIDGE * np.eye(D.shape[1])
             step = np.linalg.solve(hess, grad)
             beta = beta + step
             if float(np.max(np.abs(step))) < 1e-10:
@@ -407,21 +409,14 @@ class LogisticRegression(BaseClassifier):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-@dataclass
 class RandomForest(BaseClassifier):
     """Bagged gini trees with sqrt(d) feature subsampling per split."""
 
-    n_trees: int = 100
-    min_leaf: int = 1
-    seed: int = 0
-    name: str = field(default="random-forest", init=False)
+    name = "random-forest"
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int) -> None:
         super().__init__()
-        if self.n_trees < 1:
-            raise ClassifierError("n_trees must be positive")
-        if self.min_leaf < 1:
-            raise ClassifierError("min_leaf must be positive")
+        self.seed = seed
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
@@ -429,36 +424,30 @@ class RandomForest(BaseClassifier):
         # lazy, so each bootstrap is drawn after the previous tree's feature draws
         counts = (
             np.bincount(rng.integers(0, n, size=n), minlength=n)
-            for _ in range(self.n_trees)
+            for _ in range(_N_TREES)
         )
         max_features = max(1, int(np.sqrt(d)))
-        self._trees = _Trees(X, y, counts, self.min_leaf, None, max_features, rng)
+        self._trees = _Trees(X, y, counts, max_features, rng)
 
     def _scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(X.shape[0])
         for rates in self._trees.leaf_rates(X):  # summed in tree order
             votes += rates
-        return votes / self.n_trees
+        return votes / len(self._trees.roots)
 
 
 def make_classifier(name: str, seed: int = 0) -> BaseClassifier:
-    """Instantiate one of CLASSIFIER_NAMES with its default settings."""
-    if name == "zero-r":
-        return ZeroR()
-    if name == "one-r":
-        return OneR()
+    """The model named ``name``, as in CLASSIFIER_NAMES; ``seed`` seeds a forest."""
+    fixed = {"zero-r": ZeroR, "one-r": OneR, "gaussian-nb": GaussianNB,
+             "decision-tree": DecisionTree, "logistic": LogisticRegression}
+    if name in fixed:
+        return fixed[name]()
+    if name == "random-forest":
+        return RandomForest(seed)
     if name.startswith("knn-"):
         try:
             k = int(name.split("-", 1)[1])
         except ValueError:
             raise ClassifierError(f"unknown classifier: {name}") from None
         return KNearest(k)
-    if name == "gaussian-nb":
-        return GaussianNB()
-    if name == "decision-tree":
-        return DecisionTree()
-    if name == "logistic":
-        return LogisticRegression()
-    if name == "random-forest":
-        return RandomForest(seed=seed)
     raise ClassifierError(f"unknown classifier: {name}")

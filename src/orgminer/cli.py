@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .centrality import MEASURES, CentralityConfig, CentralityTable, centrality_table
-from .classifiers import CLASSIFIER_NAMES
 from .community import load_role_rules
 from .crawler import CrawlConfig, CrawlError, bfs_crawl, crawl, resume, save_state
 from .graph import (
@@ -33,6 +32,7 @@ from .graph import (
 )
 from .leadership import classifier_table_bytes, cross_validate_all, ranking
 from .pipeline import (
+    AnalysisSettings,
     ConfigError,
     PipelineConfig,
     PipelineError,
@@ -142,9 +142,7 @@ def _cmd_centrality(args) -> int:
 def _cmd_rank(args) -> int:
     table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
     managers, disclosure = label_maps(load_labels(args.labels))
-    precision, hidden = ranking(
-        table, managers, disclosure, _int_list(args.k), args.hidden_k
-    )
+    precision, hidden = ranking(table, managers, disclosure, args.k, args.hidden_k)
     out = _out_root(args.out_dir)
     write_artifacts(out, ranking_artifacts(precision, hidden))
     for measure in sorted(precision):
@@ -160,11 +158,8 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
     managers, _ = label_maps(load_labels(args.labels))
-    kinds = (
-        CLASSIFIER_NAMES
-        if args.classifiers == "all"
-        else _str_list(args.classifiers)
-    )
+    kinds = (AnalysisSettings.classifiers if args.classifiers == "all"
+             else _str_list(args.classifiers))
     rows = cross_validate_all(table, managers, kinds, args.folds, args.seed)
     write_bytes_atomic(args.out, classifier_table_bytes(rows))
     for row in rows:
@@ -203,14 +198,13 @@ def _cmd_export(args) -> int:
     graph = _load_graph_args(args)
     communities = None
     if args.communities:
-        assignment: dict[int, int] = {}
-        for line in Path(args.communities).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("node"):
-                continue
-            node, comm = line.split(",")
-            assignment[int(node)] = int(comm)
-        communities = assignment
+        rows = load_labels(args.communities)
+        for v, row in rows.items():
+            if row.community is None:
+                raise GraphError(f"{args.communities}: node {v} has no community")
+            if not graph.has_node(v):
+                raise GraphError(f"{args.communities}: node {v} is not in the graph")
+        communities = {v: row.community for v, row in rows.items()}
     if args.anonymize:
         graph, id_map = anonymize(graph, seed=args.seed, retain_labels=args.retain_labels)
         if communities is not None:
@@ -295,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles")
     p.add_argument("--out", required=True)
     p.add_argument("--measures", default="all", help="comma-separated subset")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=AnalysisSettings.tol)
+    p.add_argument("--max-iter", type=int, default=AnalysisSettings.max_iter)
     p.set_defaults(fn=_cmd_centrality)
 
     p = sub.add_parser("rank", help="top-k precision and hidden-manager report")
     p.add_argument("--table", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--k", default="10,20")
-    p.add_argument("--hidden-k", type=int, default=20)
+    p.add_argument("--k", type=_int_list, default=AnalysisSettings.ks)
+    p.add_argument("--hidden-k", type=int, default=AnalysisSettings.hidden_k)
     p.add_argument("--out-dir")
     p.set_defaults(fn=_cmd_rank)
 
@@ -311,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--classifiers", default="all")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=AnalysisSettings.folds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_evaluate)

@@ -369,6 +369,9 @@ class CrawlState:
             strategy = payload["strategy"]
             if strategy not in ("priority", "fifo"):
                 raise StateError(f"unknown strategy {strategy!r}")
+            fingerprint = payload["fingerprint"]
+            if not isinstance(fingerprint, str):
+                raise StateError("corrupt crawl state: the fingerprint must be a string")
             frontier = Frontier.restore(payload["frontier"])
             crawled, confirmed, edges, window = (
                 payload[k] for k in ("crawled", "confirmed", "edges", "window"))
@@ -401,7 +404,7 @@ class CrawlState:
                 window=deque(window, maxlen=config.window_size),
                 fetch_count=payload["fetch_count"],
                 not_found=payload["not_found"],
-                fingerprint=str(payload["fingerprint"]),
+                fingerprint=fingerprint,
             )
         except StateError:
             raise
@@ -556,7 +559,10 @@ def _run(
                 stop_reason = "budget"
                 truncated = True
                 break
-            if executor is None:  # width 1: a one-row batch, fetched in this thread
+            # width 1 fetches one row in this thread, with no batch lists: the
+            # batch path alone ran crawl-20k at a 0.695 s run_s median against
+            # 0.574 s (8 alternating benchmark pairs on 2 vCPUs)
+            if executor is None:
                 rows = (take(),)
                 batch = (rows[0][0],)
             else:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .centrality import MEASURES, CentralityTable
-from .classifiers import CLASSIFIER_NAMES, make_classifier
+from .classifiers import make_classifier
 
 
 class UnlabeledNodesError(ValueError):
@@ -88,7 +88,7 @@ def hidden_manager_report(
     ranked: RankedList,
     manager_labels: Mapping[int, bool],
     disclosure: Mapping[int, bool],
-    k: int = 20,
+    k: int,
 ) -> HiddenManagerReport:
     if k < 1 or k > len(ranked):
         raise ValueError(f"k={k} out of range for list of {len(ranked)}")
@@ -205,7 +205,7 @@ class CrossValidationRow:
 
 
 def cross_validate(
-    kind: str, X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 0
+    kind: str, X: np.ndarray, y: np.ndarray, folds: int, seed: int
 ) -> CrossValidationRow:
     """Held-out metrics over a stratified fold split.
 
@@ -290,11 +290,11 @@ def evaluate(
     table: CentralityTable,
     manager_labels: Mapping[int, bool],
     disclosure: Mapping[int, bool],
-    kinds: Sequence[str] = CLASSIFIER_NAMES,
-    folds: int = 10,
-    seed: int = 0,
-    ks: Sequence[int] = (10, 20),
-    hidden_k: int = 20,
+    kinds: Sequence[str],
+    folds: int,
+    seed: int,
+    ks: Sequence[int],
+    hidden_k: int,
 ) -> EvalReport:
     precision, hidden = ranking(table, manager_labels, disclosure, ks, hidden_k)
     rows = cross_validate_all(table, manager_labels, kinds, folds, seed)

@@ -121,8 +121,8 @@ class AnalysisSettings:
     folds: int = 10
     ks: tuple[int, ...] = (10, 20)
     hidden_k: int = 20
-    tol: float = 1e-8
-    max_iter: int = 1000
+    tol: float = CentralityConfig.tol
+    max_iter: int = CentralityConfig.max_iter
 
     def __post_init__(self):
         object.__setattr__(self, "classifiers", tuple(self.classifiers))

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import SocialGraph
+from orgminer.graph import SocialGraph
 
 
 def _adjacency_dict(g: SocialGraph) -> dict[int, tuple[int, ...]]:

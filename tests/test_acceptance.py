@@ -40,7 +40,7 @@ from orgminer import (
     rank_nodes,
     run_pipeline,
 )
-from orgminer import bruteforce as bf
+import bruteforce as bf
 from orgminer.crawler import resume, save_state
 from orgminer.leadership import (
     auc_rank_statistic,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from orgminer.bruteforce import (
+from bruteforce import (
     auc_trapezoid,
     best_partition_bruteforce,
     enumerate_shortest_paths,

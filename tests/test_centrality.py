@@ -25,7 +25,7 @@ from orgminer import (
     load_centrality,
 )
 from orgminer import centrality
-from orgminer.bruteforce import (
+from bruteforce import (
     oracle_betweenness,
     oracle_closeness,
     oracle_communicability,

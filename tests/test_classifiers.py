@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orgminer import MEASURES, SocialGraph, centrality_table, cross_validate
 from orgminer.classifiers import (
     CLASSIFIER_NAMES,
     ClassifierError,
@@ -171,3 +172,33 @@ def test_all_classifiers_score_in_unit_interval(seed):
         s = clf.scores(X)
         assert s.shape == (60,)
         assert np.all((0.0 <= s) & (s <= 1.0)), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_classifier_survives_huge_features():
+    # K_600 with a 100-node path tail: communicability reaches about 2.3e257.
+    # cl, bc and lc are left out, as their sweep takes about 30 s on this tail.
+    clique = [(u, v) for u in range(600) for v in range(u + 1, 600)]
+    tail = [(v, v + 1) for v in range(599, 699)]
+    measures = ("dg", "hits", "pr", "ec", "cc")
+    table = centrality_table(SocialGraph(range(700), clique + tail), measures=measures)
+    X = table.values[:, [MEASURES.index(m) for m in measures]]
+    assert X[:, -1].max() > 1e257
+    y = (np.random.default_rng(0).random(700) < 0.2).astype(np.int64)
+    for name in CLASSIFIER_NAMES:
+        assert np.isfinite(cross_validate(name, X, y, 5, 0).auc), name
+
+
+@given(
+    st.lists(st.integers(-1000, 1000), min_size=24, max_size=24),
+    st.lists(st.integers(0, 1), min_size=8, max_size=8),
+    st.lists(st.integers(0, 1000), min_size=3, max_size=3),
+)
+def test_power_of_two_column_scaling_keeps_knn_and_logistic_scores(cells, labels, powers):
+    X = np.array(cells, dtype=np.float64).reshape(8, 3)
+    y = np.array(labels)
+    y[0], y[1] = 0, 1  # both classes, so no model falls back to majority vote
+    scaled = np.ldexp(X, powers)  # past 2**500 a column is rescaled on the way in
+    for model in (KNearest(1), KNearest(3), LogisticRegression()):
+        want = model.fit(X, y).scores(X)
+        assert np.array_equal(model.fit(scaled, y).scores(scaled), want), model.name

@@ -18,7 +18,7 @@ from orgminer import (
     modularity,
     normalize_position,
 )
-from orgminer.bruteforce import best_partition_bruteforce
+from bruteforce import best_partition_bruteforce
 from orgminer.community import (
     PartitionError,
     RoleRule,

@@ -832,6 +832,14 @@ def _corrupt_profile_node(payload):
     next(iter(payload["profiles"].values()))["node"] += 1
 
 
+def _corrupt_int_fingerprint(payload):
+    payload["fingerprint"] = 5
+
+
+def _corrupt_list_fingerprint(payload):
+    payload["fingerprint"] = ["x"]
+
+
 @pytest.mark.parametrize("corrupt", [
     *map(_in_frontier, [
         _corrupt_duplicate_seq, _corrupt_duplicate_node, _corrupt_negative_seq,
@@ -844,7 +852,8 @@ def _corrupt_profile_node(payload):
     _corrupt_short_edge, _corrupt_float_window, _corrupt_window_flag,
     _corrupt_string_fetch_count, _corrupt_bool_not_found, _corrupt_float_not_found,
     _corrupt_confirmed_never_crawled, _corrupt_edge_to_unknown_nodes, _corrupt_reversed_edge,
-    _corrupt_profile_key, _corrupt_profile_node,
+    _corrupt_profile_key, _corrupt_profile_node, _corrupt_int_fingerprint,
+    _corrupt_list_fingerprint,
 ])
 def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     world = generate_world(crawl_world_spec(9))
@@ -857,6 +866,8 @@ def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     corrupt(payload)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(payload))
+    with pytest.raises(StateError):  # the decode rejects it, before any fingerprint check
+        CrawlState.from_json_bytes(path.read_bytes())
     with pytest.raises(StateError):
         resume(path, src)
 

@@ -20,6 +20,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple, dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,28 +307,33 @@ def labeled_rows(draw, max_rows: int = 24):
     return X, y, np.vstack([X, X_test])
 
 
-@given(labeled_rows(), st.sampled_from((1, 2, 5)), st.sampled_from((None, 1, 3)))
-def test_decision_tree_matches_reference(data, min_leaf, max_depth):
+# the references run at the library's fixed tree settings: min_leaf 1, no depth cap
+
+
+@given(labeled_rows())
+def test_decision_tree_matches_reference(data):
     X, y, X_test = data
-    tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
-    root = ref_build(X, y, np.arange(X.shape[0]), 0, min_leaf, max_depth, None, None)
+    tree = DecisionTree().fit(X, y)
+    root = ref_build(X, y, np.arange(X.shape[0]), 0, 1, None, None, None)
     assert np.array_equal(tree.scores(X_test), ref_tree_scores(root, X_test))
 
 
-@given(labeled_rows(max_rows=12), st.sampled_from((1, 2, 5)), st.integers(0, 1000))
+@given(labeled_rows(max_rows=12), st.integers(0, 1000))
 @settings(max_examples=25)
-def test_random_forest_matches_reference(data, min_leaf, seed):
+def test_random_forest_matches_reference(data, seed):
     X, y, X_test = data
-    forest = RandomForest(n_trees=15, min_leaf=min_leaf, seed=seed).fit(X, y)
-    want = ref_forest_scores(X, y, X_test, 15, min_leaf, seed)
+    with mock.patch.object(classifiers, "_N_TREES", 15):  # fewer trees, for speed
+        forest = RandomForest(seed).fit(X, y)
+    want = ref_forest_scores(X, y, X_test, 15, 1, seed)
     assert np.array_equal(forest.scores(X_test), want)
 
 
-def test_random_forest_matches_reference_with_single_class_bootstraps():
+def test_random_forest_matches_reference_with_single_class_bootstraps(monkeypatch):
     # one positive row in five: about a third of the bootstraps miss it
     X = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
     y = np.array([0, 0, 0, 0, 1])
-    forest = RandomForest(n_trees=40, seed=3).fit(X, y)
+    monkeypatch.setattr(classifiers, "_N_TREES", 40)
+    forest = RandomForest(3).fit(X, y)
     assert np.array_equal(forest.scores(X), ref_forest_scores(X, y, X, 40, 1, 3))
 
 

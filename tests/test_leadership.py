@@ -25,7 +25,7 @@ from orgminer import (
     rank_nodes,
     stratified_folds,
 )
-from orgminer.bruteforce import auc_trapezoid
+from bruteforce import auc_trapezoid
 from orgminer.leadership import (
     _ranks,
     accuracy_percent,
@@ -271,7 +271,7 @@ def test_evaluate_bundles_everything(world_instances):
     labels = {v: v in world.truth.managers for v in members}
     disclosure = {v: world.truth.disclosure[v] for v in members}
     report = evaluate(table, labels, disclosure, kinds=("zero-r", "logistic"),
-                      folds=5, seed=1)
+                      folds=5, seed=1, ks=(10, 20), hidden_k=20)
     assert {r.classifier for r in report.classifier_rows} == {"zero-r", "logistic"}
     assert set(report.precision) == set(table.measures)
     assert report.hidden.measure == "cl"
@@ -285,7 +285,8 @@ def test_report_table_emitters(world_instances):
     members = org_members(world)
     labels = {v: v in world.truth.managers for v in members}
     disclosure = {v: world.truth.disclosure[v] for v in members}
-    report = evaluate(table, labels, disclosure, kinds=("zero-r",), folds=5, seed=0)
+    report = evaluate(table, labels, disclosure, kinds=("zero-r",), folds=5, seed=0,
+                      ks=(10, 20), hidden_k=20)
     prec = precision_table_bytes(report.precision).decode()
     assert prec.startswith("measure,p_at_10,p_at_20")
     assert len(prec.strip().splitlines()) == 1 + len(table.measures)

@@ -1,21 +1,31 @@
-"""Exact pins of the outputs whose bits depend on no BLAS or LAPACK.
+"""Pins of the crawl states and of every pipeline artifact's content.
 
 Crawl states and the pipeline's world, crawl, anonymization and community
 artifacts come from the RNG, integer work and plain IEEE float arithmetic
-in Python, so their sha256 hashes hold on any machine. A change to any of
-them fails here, whether the change means to make it or not.
+in Python, so their sha256 hashes hold on any machine. The centrality,
+cross-validation and ranking artifacts pass through dense ``eigh``,
+``np.linalg.solve`` and BLAS products, which may round differently on
+another build, so they are pinned by value at stated tolerances. A change
+to any of them fails here, whether the change means to make it or not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from orgminer import CrawlConfig, WorldSpec, bfs_crawl, crawl, generate_world
+from orgminer.centrality import CentralityTable
+from orgminer.classifiers import make_classifier
+from orgminer.graph import load_labels
+from orgminer.leadership import build_instances
 from orgminer.pipeline import PipelineConfig, run_pipeline
+from orgminer.utils import derive_seed
 
 KEYWORDS = ("acme corp", "acme")
 
@@ -141,20 +151,165 @@ PINNED_PIPELINES = {
 }
 
 
-def pipeline_hashes(seed: int, work) -> dict[str, str]:
-    """sha256 of each BLAS-free artifact of a run at master seed ``seed``.
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def pipeline_run(request, tmp_path_factory):
+    """Master seed and output directory of one ``pipeline_spec`` run.
 
-    ``work`` must be the working directory: the world spec's path is part of
-    the config hash the artifacts carry, so it is given relative."""
+    The run starts in its working directory: the world spec's path is part
+    of the config hash the artifacts carry, so it is given relative."""
+    seed = request.param
+    work = tmp_path_factory.mktemp(f"pipeline{seed}")
     (work / "world_spec.json").write_text(json.dumps(pipeline_spec()), encoding="utf-8")
-    out = work / f"run{seed}"
-    run_pipeline(PipelineConfig(out_dir=str(out), world_spec="world_spec.json",
-                                master_seed=seed))
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in PINNED_ARTIFACTS}
+    here = os.getcwd()
+    os.chdir(work)
+    try:
+        run_pipeline(PipelineConfig(out_dir="run", world_spec="world_spec.json",
+                                    master_seed=seed))
+    finally:
+        os.chdir(here)
+    return seed, work / "run"
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pipeline_outputs_are_pinned(seed, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert pipeline_hashes(seed, tmp_path) == PINNED_PIPELINES[seed]
+def test_pipeline_outputs_are_pinned(pipeline_run):
+    seed, out = pipeline_run
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_ARTIFACTS}
+    assert got == PINNED_PIPELINES[seed]
+
+
+# Per centrality.csv column (hits_hub too): the sum, and the sum weighted by
+# the 1-based row number, which also sees values trading rows. Every value
+# is nonnegative, so a relative error of at most 1e-9 in each value keeps
+# both within relative 1e-9.
+PINNED_CENTRALITY = {
+    1: {
+        "dg": (23.442404006677794, 7160.106844741233),
+        "cl": (240.6437782814162, 72437.34612500305),
+        "bc": (1.5022082512102108, 463.1608892747241),
+        "hits": (23.073309636753194, 7055.463719421874),
+        "pr": (1.0, 304.6168551597136),
+        "ec": (23.073309814858867, 7055.463805194009),
+        "cc": (322271351335.18555, 100411692913693.66),
+        "lc": (1.502208251210211, 462.60881090608075),
+        "hits_hub": (23.073309599043746, 7055.463701154033),
+    },
+    2: {
+        "dg": (23.73956594323873, 7039.711185308852),
+        "cl": (240.58810565932174, 72225.3641108001),
+        "bc": (1.502426005438272, 439.2695146210573),
+        "hits": (22.996394869311054, 6837.001332246742),
+        "pr": (1.0, 297.0461323329369),
+        "ec": (22.996395124618108, 6837.001430136506),
+        "cc": (455594941994.45026, 133507585781360.36),
+        "lc": (1.5024260054382723, 439.5340210147449),
+        "hits_hub": (22.996394831672013, 6837.001317761371),
+    },
+    3: {
+        "dg": (23.34557595993322, 7027.070116861434),
+        "cl": (239.9988613241368, 72099.26754414759),
+        "bc": (1.508506373498752, 451.17989827169106),
+        "hits": (23.04852711000734, 6918.340430252346),
+        "pr": (1.0, 300.9501902822832),
+        "ec": (23.048527321114143, 6918.3405468147985),
+        "cc": (296358467977.4736, 88691940467206.0),
+        "lc": (1.508506373498752, 451.1052664414721),
+        "hits_hub": (23.048527088256158, 6918.340418284061),
+    },
+}
+
+# cv_report.csv rows: accuracy_pct, f_measure and auc to absolute 1e-9,
+# folds and fallback_folds exact
+_PERFECT = (100.0, 1.0, 1.0, 10, 0)
+PINNED_CV = {
+    1: {
+        "zero-r": (85.0, 0.0, 0.5, 10, 0),
+        "one-r": (96.0, 0.8461538461538461, 0.9916122004357298, 10, 0),
+        "knn-1": _PERFECT,
+        "knn-3": _PERFECT,
+        "knn-10": (99.5, 0.9836065573770492, 1.0, 10, 0),
+        "gaussian-nb": (98.83333333333333, 0.9625668449197861, 0.9986928104575163, 10, 0),
+        "decision-tree": _PERFECT,
+        "logistic": _PERFECT,
+        "random-forest": _PERFECT,
+    },
+    2: {
+        "zero-r": (85.0, 0.0, 0.5, 10, 0),
+        "one-r": (96.16666666666667, 0.8535031847133758, 0.992483660130719, 10, 0),
+        "knn-1": (99.83333333333333, 0.994475138121547, 0.9990196078431373, 10, 0),
+        "knn-3": (99.83333333333333, 0.994475138121547, 1.0, 10, 0),
+        "knn-10": (99.83333333333333, 0.994475138121547, 1.0, 10, 0),
+        "gaussian-nb": (98.66666666666667, 0.956989247311828, 0.9982570806100218, 10, 0),
+        "decision-tree": _PERFECT,
+        "logistic": _PERFECT,
+        "random-forest": _PERFECT,
+    },
+    3: {
+        "zero-r": (85.0, 0.0, 0.5, 10, 0),
+        "one-r": (95.66666666666667, 0.8311688311688312, 0.9884531590413944, 10, 0),
+        "knn-1": _PERFECT,
+        "knn-3": _PERFECT,
+        "knn-10": (99.83333333333333, 0.994475138121547, 1.0, 10, 0),
+        "gaussian-nb": (99.5, 0.9836065573770492, 0.9997821350762527, 10, 0),
+        "decision-tree": _PERFECT,
+        "logistic": _PERFECT,
+        "random-forest": _PERFECT,
+    },
+}
+
+# precision@k and hidden-manager counts are ratios of small integers that
+# depend only on the rankings' order, so their files are pinned exactly
+PINNED_RANKINGS = {
+    1: {
+        "ranking_report.csv": "5d8684ed60db066b7ecaa201012c0972778621d89c035b8db0db16af852cc547",
+        "hidden_managers.csv": "8af4b7d4bd3584f1641d905b55ad66bcbb96124d9c6f728faea19c098e754d64",
+    },
+    2: {
+        "ranking_report.csv": "6f39b3c19c3dcab43d28b744431d28264fd1a562f72dabf04590e0017ef85cd0",
+        "hidden_managers.csv": "1258bb6b2f7dbc627dfc3d3e2eb2b7391cac648559cc6b807e48d4e9cc2995df",
+    },
+    3: {
+        "ranking_report.csv": "d257956dec75c1334b76e3dfba1c9b40314da9670eb60bd42feaba1232733263",
+        "hidden_managers.csv": "6319c86f4a62a761088d4f8055636ad7deff1bc155aaf2b534be05e75c070673",
+    },
+}
+
+# The forest gets every held-out row right in all three runs, so cv_report
+# cannot see how many trees it has. Its scores, fit and scored on all of a
+# run's labeled rows with the evaluate stage's seed, are pinned by their sum
+# to absolute 1e-9, which a forest of 99 or 101 trees misses.
+PINNED_FOREST_SCORE_SUM = {1: 90.16, 2: 89.74000000000001, 3: 90.11}
+
+
+def _csv_rows(data: bytes) -> list[list[str]]:
+    """The cells of a CSV artifact, header first, its config line dropped."""
+    return [ln.split(",") for ln in data.decode("utf-8").splitlines()
+            if not ln.startswith("#")]
+
+
+def test_pipeline_values_are_pinned(pipeline_run):
+    seed, out = pipeline_run
+    header, *rows = _csv_rows((out / "centrality.csv").read_bytes())
+    values = np.array([[float(c) for c in row[1:]] for row in rows])
+    weights = np.arange(1, values.shape[0] + 1)
+    got = {h: (float(col.sum()), float(col @ weights)) for h, col in zip(header[1:], values.T)}
+    pinned = PINNED_CENTRALITY[seed]
+    assert got == {h: pytest.approx(v, rel=1e-9, abs=0) for h, v in pinned.items()}
+
+    header, *rows = _csv_rows((out / "cv_report.csv").read_bytes())
+    metrics = {row[0]: tuple(map(float, row[1:4])) for row in rows}
+    counts = {row[0]: tuple(map(int, row[4:])) for row in rows}
+    pinned = PINNED_CV[seed]
+    assert metrics == {k: pytest.approx(v[:3], rel=0, abs=1e-9) for k, v in pinned.items()}
+    assert counts == {k: v[3:] for k, v in pinned.items()}
+
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_RANKINGS[seed]}
+    assert got == PINNED_RANKINGS[seed]
+
+    table = CentralityTable.from_csv_bytes((out / "centrality.csv").read_bytes())
+    managers = {v: r.is_manager for v, r in load_labels(out / "world_labels.csv").items()
+                if r.is_org_member}
+    X, y = build_instances(table, managers)
+    forest = make_classifier("random-forest", seed=derive_seed(seed, "evaluate")).fit(X, y)
+    assert float(forest.scores(X).sum()) == pytest.approx(
+        PINNED_FOREST_SCORE_SUM[seed], rel=0, abs=1e-9)

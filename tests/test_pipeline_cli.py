@@ -773,6 +773,26 @@ def test_cli_export_anonymized_with_communities(world_files, tmp_path):
     assert "acme" not in text.lower()
 
 
+@pytest.mark.parametrize("anonymize", [[], ["--anonymize"]], ids=["plain", "anonymized"])
+@pytest.mark.parametrize("rows, problem", [
+    ("1,0\n3,x\n", ":3: community must be an integer, got 'x'"),
+    ("1,0\n99,1\n", ": node 99 is not in the graph"),
+    ("1,0\n2,0\n1,1\n", ":4: duplicate label row for 1"),
+    ("1,0\n2,\n", ": node 2 has no community"),
+], ids=["bad-cell", "unknown-node", "repeated-node", "empty-community"])
+def test_cli_export_rejects_a_malformed_partition(tmp_path, capsys, rows, problem, anonymize):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n2 3\n3 4\n")
+    part = tmp_path / "partition.csv"
+    part.write_text("node,community\n" + rows)
+    out = tmp_path / "graph.csv"
+    rc = cli.main(["export", "--edges", str(edges), "--format", "csv",
+                   "--communities", str(part), "--out", str(out), *anonymize])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {part}{problem}"]
+    assert not out.exists()
+
+
 def test_cli_pipeline_with_config_file_and_overrides(world_files, tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(
