@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import GraphError, SocialGraph, _id_array
+from .graph import GraphError, GraphParseError, SocialGraph, parse_node_id, read_table, table_bytes
 
 MEASURES = ("dg", "cl", "bc", "hits", "pr", "ec", "cc", "lc")
 
@@ -341,50 +342,48 @@ class CentralityTable:
         if self.hub is not None:
             header.append("hits_hub")
             columns = np.column_stack((columns, self.hub))
-        lines = [",".join(header)]
-        for v, row in zip(self.nodes, columns.tolist()):
-            lines.append(",".join([str(v), *map(repr, row)]))
-        if self.iterations:
-            noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
-            lines.append(f"# iterations: {noted}")
-        for measure in sorted(self.failures):
-            lines.append(f"# failed: {measure}: {self.failures[measure]}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
+        notes = [f"# iterations: {noted}\n"] if self.iterations else []
+        notes += [f"# failed: {m}: {self.failures[m]}\n" for m in sorted(self.failures)]
+        rows = ([v, *row] for v, row in zip(self.nodes, columns.tolist()))
+        return table_bytes(header, rows) + "".join(notes).encode("utf-8")
 
     @classmethod
-    def from_csv_bytes(cls, data: bytes) -> "CentralityTable":
-        text = data.decode("utf-8").splitlines()
-        lines = [ln for ln in text if ln.strip() and not ln.startswith("#")]
-        if not lines:
-            raise CentralityError("empty centrality table")
-        header = lines[0].split(",")
+    def from_csv_bytes(cls, source: str | Path | bytes) -> "CentralityTable":
+        """Read a table that ``to_csv_bytes`` wrote, from a path or bytes. A
+        bad node id or score, or a row whose width is not the header's, is a
+        ``GraphParseError`` naming its file line."""
+        name, _, header, rows = read_table(source)
         if header[0] != "node":
             raise CentralityError("centrality table must start with a node column")
         unknown = set(header[1:]) - set(MEASURES) - {"hits_hub"}
         if unknown:
             raise CentralityError(f"unknown measures in table: {sorted(unknown)}")
-        values = np.full((len(lines) - 1, len(MEASURES)), np.nan)
-        hub = np.empty(len(lines) - 1)
-        columns = [hub if h == "hits_hub" else values[:, MEASURES.index(h)] for h in header[1:]]
-        nodes = []
-        for i, line in enumerate(lines[1:]):
-            cells = line.split(",")
+        nodes, scores = [], []
+        for line_no, cells in rows:
             if len(cells) != len(header):
-                raise CentralityError(
-                    f"table row {i + 1} has {len(cells)} cells, the header {len(header)}"
+                raise GraphParseError(
+                    name, line_no, f"row has {len(cells)} cells, the header {len(header)}"
                 )
-            nodes.append(int(cells[0]))
-            for column, cell in zip(columns, cells[1:]):
-                column[i] = float(cell)
-        _id_array(nodes)  # a GraphError names an id that does not fit in int64
+            nodes.append(parse_node_id(cells[0], name, line_no))
+            try:
+                scores.append(list(map(float, cells[1:])))
+            except ValueError as exc:
+                raise GraphParseError(name, line_no, f"bad score: {exc}") from None
         if len(set(nodes)) < len(nodes):
             raise CentralityError("centrality table lists a node twice")
+        read = np.array(scores, dtype=np.float64).reshape(len(nodes), len(header) - 1)
+        columns = dict(zip(header[1:], read.T))
+        values = np.full((len(nodes), len(MEASURES)), np.nan)
+        for j, m in enumerate(MEASURES):
+            if m in columns:
+                values[:, j] = columns[m]
         return cls(
             nodes=tuple(nodes),
             values=values,
-            measures=tuple(m for m in MEASURES if m in header),
-            hub=hub if "hits_hub" in header and nodes else None,
-            failures={m: "absent from table" for m in MEASURES if m not in header},
+            measures=tuple(m for m in MEASURES if m in columns),
+            hub=columns.get("hits_hub") if nodes else None,
+            failures={m: "absent from table" for m in MEASURES if m not in columns},
         )
 
 

@@ -11,10 +11,9 @@ environment variable (if set) supplies the root directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from .centrality import MEASURES, CentralityConfig, CentralityTable, centrality_table
@@ -29,6 +28,7 @@ from .graph import (
     load_graph,
     load_labels,
     profiles_to_jsonl_bytes,
+    table_bytes,
 )
 from .leadership import classifier_table_bytes, cross_validate_all, ranking
 from .pipeline import (
@@ -45,8 +45,8 @@ from .pipeline import (
     world_artifacts,
     write_artifacts,
 )
-from .synthworld import InMemorySource, WorldSpec, disclosure_census, generate_world
-from .utils import content_hash, write_bytes_atomic
+from .synthworld import CensusRow, InMemorySource, WorldSpec, disclosure_census, generate_world
+from .utils import content_hash, read_json, write_bytes_atomic
 
 
 def _out_root(explicit: str | None) -> Path:
@@ -86,13 +86,9 @@ def _cmd_generate(args) -> int:
     out = _out_root(args.out_dir)
     write_artifacts(out, world_artifacts(world))
     census = disclosure_census(world)
-    lines = ["org,members,links,disclosing,disclosing_pct"]
-    for row in (*census.rows, census.total):
-        lines.append(
-            f"{row.org},{row.members},{row.links},{row.disclosing},"
-            f"{row.disclosing_pct:.1f}"
-        )
-    write_bytes_atomic(out / "census.csv", ("\n".join(lines) + "\n").encode())
+    header = [f.name for f in fields(CensusRow)] + ["disclosing_pct"]
+    rows = ([*astuple(r), format(r.disclosing_pct, ".1f")] for r in (*census.rows, census.total))
+    write_bytes_atomic(out / "census.csv", table_bytes(header, rows))
     print(
         f"world: {world.graph.num_nodes} nodes, {world.graph.num_edges} edges "
         f"-> {out}"
@@ -140,7 +136,7 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
+    table = CentralityTable.from_csv_bytes(args.table)
     managers, disclosure = label_maps(load_labels(args.labels))
     precision, hidden = ranking(table, managers, disclosure, args.k, args.hidden_k)
     out = _out_root(args.out_dir)
@@ -156,7 +152,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table = CentralityTable.from_csv_bytes(Path(args.table).read_bytes())
+    table = CentralityTable.from_csv_bytes(args.table)
     managers, _ = label_maps(load_labels(args.labels))
     kinds = (AnalysisSettings.classifiers if args.classifiers == "all"
              else _str_list(args.classifiers))
@@ -218,7 +214,7 @@ def _cmd_export(args) -> int:
 def _cmd_pipeline(args) -> int:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = read_json(args.config, ConfigError)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: a pipeline config must be a JSON object")
     crawl_over = {
@@ -274,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--keywords", required=True, help="comma-separated")
     p.add_argument("--seeds", required=True, help="comma-separated node ids")
-    p.add_argument("--version", choices=("v1", "v2"), default="v1")
-    p.add_argument("--window", type=int, default=1000)
+    p.add_argument("--version", choices=("v1", "v2"), default=CrawlConfig.version)
+    p.add_argument("--window", type=int, default=CrawlConfig.window_size)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--width", type=int, default=1)
+    p.add_argument("--width", type=int, default=CrawlConfig.concurrency_width)
     p.add_argument("--strategy", choices=("priority", "fifo"), default="priority")
     p.add_argument("--resume", default=None, help="crawl state file to continue")
     p.add_argument("--save-state", default=None, help="write final crawl state here")

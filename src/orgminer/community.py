@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .graph import GraphError, SocialGraph
-from .utils import decode_dataclass
+from .graph import GraphError, SocialGraph, table_bytes
+from .utils import decode_dataclass, read_json
 
 
 class PartitionError(GraphError):
@@ -56,8 +55,8 @@ def load_role_rules(path: str | Path | None = None) -> tuple[RoleRule, ...]:
     """Load the ordered keyword rules, from the bundled table by default. An
     unknown or missing key, a value of the wrong JSON type, an empty table
     or a rule without keywords is a ``RoleRuleError``."""
-    source = resources.files("orgminer") / "data/role_rules.json" if path is None else Path(path)
-    raw = json.loads(source.read_text())
+    source = resources.files("orgminer") / "data/role_rules.json" if path is None else path
+    raw = read_json(source, RoleRuleError)
     table = decode_dataclass(_RuleTable, raw, RoleRuleError, "role rule table")
     for rule in table.rules:
         if not rule.keywords:
@@ -366,21 +365,8 @@ def community_report(roles: Sequence[CommunityRole]) -> tuple[CommunityReportRow
 
 
 def partition_table_bytes(partition: Partition) -> bytes:
-    lines = ["node,community"]
-    for node, comm in sorted(partition.assignment.items()):
-        lines.append(f"{node},{comm}")
-    return ("\n".join(lines) + "\n").encode()
+    return table_bytes(("node", "community"), sorted(partition.assignment.items()))
 
 
 def report_table_bytes(rows: Sequence[CommunityReportRow]) -> bytes:
-    lines = [
-        "community,size,internal_links,disclosed_positions,"
-        "classified_positions,description"
-    ]
-    for row in rows:
-        description = row.description.replace(",", ";")
-        lines.append(
-            f"{row.community},{row.size},{row.internal_links},"
-            f"{row.disclosed_positions},{row.classified_positions},{description}"
-        )
-    return ("\n".join(lines) + "\n").encode()
+    return table_bytes([f.name for f in fields(CommunityReportRow)], map(astuple, rows))

@@ -35,7 +35,7 @@ import json
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -452,27 +452,26 @@ def resume(path: str | Path, src: FetchSource) -> CrawlState:
     return state
 
 
+_RESUMABLE = ("max_fetches", "concurrency_width")  # the config fields a resume may change
+
+
 def _start(
     src: FetchSource, cfg: CrawlConfig, state: CrawlState | None, strategy: str
 ) -> CrawlState:
     """A fresh state, or ``state`` checked against ``cfg`` and ``strategy``.
 
-    A resume takes only ``max_fetches`` and ``concurrency_width`` from ``cfg``."""
+    A resume takes only the ``_RESUMABLE`` fields from ``cfg``."""
     if state is None:
         return CrawlState.fresh(cfg, src.fingerprint, strategy=strategy)
-    for name in ("seeds", "keywords", "version", "window_size", "seed_priority"):
-        if getattr(cfg, name) != getattr(state.config, name):
+    for f in fields(CrawlConfig):
+        if f.name not in _RESUMABLE and getattr(cfg, f.name) != getattr(state.config, f.name):
             raise StateError(
-                f"config field {name!r} differs from the saved crawl; "
-                "only max_fetches and concurrency_width may change on resume"
+                f"config field {f.name!r} differs from the saved crawl; "
+                f"only {' and '.join(_RESUMABLE)} may change on resume"
             )
     if state.strategy != strategy:
         raise StateError("saved state came from a different crawl strategy")
-    state.config = replace(
-        state.config,
-        max_fetches=cfg.max_fetches,
-        concurrency_width=cfg.concurrency_width,
-    )
+    state.config = replace(state.config, **{name: getattr(cfg, name) for name in _RESUMABLE})
     return state
 
 

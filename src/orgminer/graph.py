@@ -14,6 +14,13 @@ duplicates. Supported interchange formats:
 * labels: CSV with columns node, is_org_member, is_manager,
   discloses_position, community, location (any subset may be empty);
 * exports: edge list, GraphML, DOT, and CSV tables.
+
+This module also holds the table codec that every CSV table of the package
+goes through: ``table_bytes`` writes one (a header row, ``\n`` line ends,
+minimal quoting, ``None`` as an empty cell meaning unknown, a float as its
+``repr`` so it reads back exactly, booleans as ``true``/``false``) and
+``read_table`` parses one, numbering file lines past ``#`` comment lines so
+that an error names the line a bad cell is on.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -427,44 +434,76 @@ def edge_list_bytes(g: SocialGraph) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-# -- label tables --------------------------------------------------------------
-
-_LABEL_COLUMNS = (
-    "node",
-    "is_org_member",
-    "is_manager",
-    "discloses_position",
-    "community",
-    "location",
-)
+# -- tables ---------------------------------------------------------------------
 
 _BOOL_TOKENS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _format_cell(value) -> str:
-    if value is None:
+def _format_cell(flag: bool | None) -> str:
+    """A boolean cell: ``true``, ``false``, or empty for unknown."""
+    if flag is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    return "true" if flag else "false"
+
+
+def table_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+    """A CSV table: ``header``, then one line per row. Cells are written by
+    ``csv``'s rules (``None`` empty, a float its ``repr``, a cell holding a
+    comma, a quote or a line break quoted); boolean cells go through
+    ``_format_cell`` first."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def read_table(
+    source: str | Path | bytes,
+) -> tuple[str, int, list[str], list[tuple[int, list[str]]]]:
+    """Parse a CSV table from a path or bytes. Returns the source's name, the
+    header's file line, the header's stripped cells, and every row as (file
+    line, cells). Lines are numbered before ``#`` comment lines are dropped,
+    so the numbers are the file's; blank rows are skipped. A file without a
+    header row is a ``GraphParseError``."""
+    name, text = _read_text(source)
+    lines = text.splitlines()
+    kept = [no for no, line in enumerate(lines) if not line.startswith("#")]
+    reader = csv.reader([lines[no] for no in kept])
+    rows = [(kept[reader.line_num - 1] + 1, row) for row in reader if "".join(row).strip()]
+    if not rows:
+        raise GraphParseError(name, 1, "empty table")
+    header_line, header = rows[0]
+    return name, header_line, [h.strip() for h in header], rows[1:]
+
+
+def parse_node_id(cell: str, name: str, line_no: int) -> int:
+    """The node id in a table cell; a ``GraphParseError`` for a cell that is
+    not an integer or does not fit in int64."""
+    try:
+        node = int(cell)
+    except ValueError:
+        raise GraphParseError(name, line_no, f"node id must be an integer, got {cell!r}")
+    if not _ID_MIN <= node <= _ID_MAX:
+        raise GraphParseError(name, line_no, f"node id {node} does not fit in int64")
+    return node
 
 
 def labels_to_csv_bytes(rows: Iterable[LabelRow]) -> bytes:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_LABEL_COLUMNS)
-    for row in sorted(rows, key=lambda r: r.node):
-        writer.writerow(
-            [
-                row.node,
-                _format_cell(row.is_org_member),
-                _format_cell(row.is_manager),
-                _format_cell(row.discloses_position),
-                _format_cell(row.community),
-                _format_cell(row.location),
-            ]
-        )
-    return out.getvalue().encode("utf-8")
+    return table_bytes(
+        [f.name for f in fields(LabelRow)],
+        (
+            (
+                r.node,
+                _format_cell(r.is_org_member),
+                _format_cell(r.is_manager),
+                _format_cell(r.discloses_position),
+                r.community,
+                r.location,
+            )
+            for r in sorted(rows, key=lambda r: r.node)
+        ),
+    )
 
 
 def _parse_bool(token: str, name: str, line_no: int) -> bool | None:
@@ -478,32 +517,16 @@ def _parse_bool(token: str, name: str, line_no: int) -> bool | None:
 
 def load_labels(source: str | Path | bytes) -> dict[int, LabelRow]:
     """Parse a label CSV into a node -> LabelRow map."""
-    name, text = _read_text(source)
-    # number the lines before dropping comments, so errors name file lines
-    kept = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
-            if not ln.startswith("#")]
-    reader = csv.reader(ln for _, ln in kept)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise GraphParseError(name, 1, "empty label file")
-    line_no = kept[reader.line_num - 1][0]
-    header = [h.strip() for h in header]
+    name, header_line, header, rows = read_table(source)
     if "node" not in header:
-        raise GraphParseError(name, line_no, "label file needs a 'node' column")
-    unknown = set(header) - set(_LABEL_COLUMNS)
+        raise GraphParseError(name, header_line, "label file needs a 'node' column")
+    unknown = set(header) - {f.name for f in fields(LabelRow)}
     if unknown:
-        raise GraphParseError(name, line_no, f"unknown label columns {sorted(unknown)}")
+        raise GraphParseError(name, header_line, f"unknown label columns {sorted(unknown)}")
     out: dict[int, LabelRow] = {}
-    for row in reader:
-        line_no = kept[reader.line_num - 1][0]
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line_no, row in rows:
         cells = dict(zip(header, row))
-        try:
-            node = int(cells["node"])
-        except ValueError:
-            raise GraphParseError(name, line_no, "node id must be an integer")
+        node = parse_node_id(cells.get("node", ""), name, line_no)
         if node in out:
             raise GraphParseError(name, line_no, f"duplicate label row for {node}")
         community_raw = cells.get("community", "").strip()
@@ -712,39 +735,28 @@ def _dot_bytes(g: SocialGraph, communities) -> bytes:
 
 
 def _csv_tables_bytes(g: SocialGraph, communities) -> bytes:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    out.write("# nodes\n")
-    header = [
-        "node",
-        "name",
-        "employers",
-        "position",
-        "location",
-        "is_org_member",
-        "is_manager",
-        "discloses_position",
-    ]
+    header = [f.name for f in fields(Profile)]
+    blank = [None] * (len(header) - 1)  # the cells of a node without a profile
     if communities is not None:
         header.append("community")
-    writer.writerow(header)
-    for v in g.nodes:
+
+    def row(v: int) -> list:
         p = g.profile(v)
-        row = [
+        cells = [v, *blank] if p is None else [
             v,
-            (p.name if p else None) or "",
-            json.dumps(list(p.employers)) if p and p.employers else "",
-            (p.position if p else None) or "",
-            (p.location if p else None) or "",
-            _format_cell(p.is_org_member if p else None),
-            _format_cell(p.is_manager if p else None),
-            _format_cell(p.discloses_position if p else None),
+            p.name,
+            json.dumps(list(p.employers)) if p.employers else None,
+            p.position,
+            p.location,
+            _format_cell(p.is_org_member),
+            _format_cell(p.is_manager),
+            _format_cell(p.discloses_position),
         ]
         if communities is not None:
-            row.append(_format_cell(communities.get(v)))
-        writer.writerow(row)
-    out.write("# edges\n")
-    writer.writerow(["source", "target"])
-    for u, v in g.edges():
-        writer.writerow([u, v])
-    return out.getvalue().encode("utf-8")
+            cells.append(communities.get(v))
+        return cells
+
+    return (
+        b"# nodes\n" + table_bytes(header, map(row, g.nodes))
+        + b"# edges\n" + table_bytes(("source", "target"), g.edges())
+    )

@@ -16,13 +16,14 @@ report is a pure function of (scores, labels, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .centrality import MEASURES, CentralityTable
 from .classifiers import make_classifier
+from .graph import table_bytes
 
 
 class UnlabeledNodesError(ValueError):
@@ -303,30 +304,17 @@ def evaluate(
 
 def precision_table_bytes(precision: Mapping[str, Mapping[int, float]]) -> bytes:
     ks = sorted({k for per in precision.values() for k in per})
-    header = "measure," + ",".join(f"p_at_{k}" for k in ks)
-    lines = [header]
-    for measure in MEASURES:
-        if measure not in precision:
-            continue
-        cells = ",".join(repr(precision[measure][k]) for k in ks)
-        lines.append(f"{measure},{cells}")
-    return ("\n".join(lines) + "\n").encode()
+    return table_bytes(
+        ["measure", *(f"p_at_{k}" for k in ks)],
+        ([m, *(precision[m][k] for k in ks)] for m in MEASURES if m in precision),
+    )
 
 
 def classifier_table_bytes(rows: Sequence[CrossValidationRow]) -> bytes:
-    lines = ["classifier,accuracy_pct,f_measure,auc,folds,fallback_folds"]
-    for row in rows:
-        lines.append(
-            f"{row.classifier},{row.accuracy!r},{row.f1!r},{row.auc!r},"
-            f"{row.folds},{row.fallback_folds}"
-        )
-    return ("\n".join(lines) + "\n").encode()
+    header = ("classifier", "accuracy_pct", "f_measure", "auc", "folds", "fallback_folds")
+    return table_bytes(header, map(astuple, rows))
 
 
 def hidden_table_bytes(report: HiddenManagerReport) -> bytes:
-    lines = [
-        "measure,k,managers_in_top_k,hidden_count,hidden_fraction",
-        f"{report.measure},{report.k},{report.managers_in_top_k},"
-        f"{report.hidden_count},{report.hidden_fraction!r}",
-    ]
-    return ("\n".join(lines) + "\n").encode()
+    header = [f.name for f in fields(HiddenManagerReport)] + ["hidden_fraction"]
+    return table_bytes(header, [[*astuple(report), report.hidden_fraction]])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import platform
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -100,15 +100,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CrawlSettings:
-    version: str = "v1"
-    window_size: int = 1000
-    max_fetches: int | None = None
-    concurrency_width: int = 1
+    version: str = CrawlConfig.version
+    window_size: int = CrawlConfig.window_size
+    max_fetches: int | None = CrawlConfig.max_fetches
+    concurrency_width: int = CrawlConfig.concurrency_width
     seed_count: int = 3
     seeds: tuple[int, ...] = ()
     keywords: tuple[str, ...] = ()
     target_org: int = 0
-    seed_priority: int = 1
+    seed_priority: int = CrawlConfig.seed_priority
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -350,15 +350,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
             keywords = cfg.crawl.keywords
             if not keywords:
                 keywords = world.spec.orgs[cfg.crawl.target_org].name_keywords
-            crawl_cfg = CrawlConfig(
-                seeds=seeds,
-                keywords=keywords,
-                version=cfg.crawl.version,
-                window_size=cfg.crawl.window_size,
-                max_fetches=cfg.crawl.max_fetches,
-                concurrency_width=cfg.crawl.concurrency_width,
-                seed_priority=cfg.crawl.seed_priority,
-            )
+            settings = {f.name: getattr(cfg.crawl, f.name) for f in fields(CrawlConfig)}
+            crawl_cfg = CrawlConfig(**{**settings, "seeds": seeds, "keywords": keywords})
             result = crawl(world.fresh_source(), crawl_cfg)
             artifacts |= write_artifacts(out, crawl_artifacts(result, chash))
             graph, crawl_stats = result.graph, result.stats.to_dict()

@@ -15,7 +15,6 @@ with an unknown or missing key or a mistyped value is a WorldSpecError.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass
@@ -25,7 +24,7 @@ from typing import Mapping, Protocol
 import numpy as np
 
 from .graph import LabelRow, Profile, SocialGraph
-from .utils import apportion, decode_dataclass, gc_paused, sorted_unique, stable_json
+from .utils import apportion, decode_dataclass, gc_paused, read_json, sorted_unique, stable_json
 
 
 class WorldSpecError(ValueError):
@@ -157,7 +156,7 @@ class WorldSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "WorldSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path, WorldSpecError))
 
 
 @dataclass(frozen=True)

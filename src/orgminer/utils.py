@@ -1,6 +1,7 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-the typed decoder of settings dataclasses, apportionment, a sorted unique
-of int arrays, and a cyclic-GC pause for bulk builds."""
+a JSON file reader, the typed decoder of settings dataclasses,
+apportionment, a sorted unique of int arrays, and a cyclic-GC pause for
+bulk builds."""
 
 from __future__ import annotations
 
@@ -39,6 +40,15 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON value in the file at ``path``. Text that does not parse
+    raises ``error`` naming the file and line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
 
 
 def decode_dataclass(cls, data, error: type[Exception], what: str):

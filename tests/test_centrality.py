@@ -310,7 +310,9 @@ def test_table_csv_round_trip():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("node,dg,cl\n0,0.5,1.0\n1,0.5\n", "row 2 has 2 cells"),
+        ("node,dg,cl\n0,0.5,1.0\n1,0.5\n", "<bytes>:3: row has 2 cells, the header 3"),
+        ("# note\nnode,dg\n0,0.5\n1,x\n", "<bytes>:4: bad score: could not convert"),
+        ("node,dg\n0,0.5\nx,0.5\n", "<bytes>:3: node id must be an integer, got 'x'"),
         ("node,dg\n0,0.5\n1,0.5\n0,0.25\n", "lists a node twice"),
         ("node,dg\n0,0.5\n9223372036854775808,0.5\n", "9223372036854775808 does not fit"),
         ("node,dg,katz\n0,0.5,1.0\n", "unknown measures"),

@@ -3,6 +3,7 @@ import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from orgminer import (
     GraphError,
@@ -21,6 +22,7 @@ from orgminer import (
     parse_edge_list,
     profiles_to_jsonl_bytes,
 )
+from orgminer.graph import read_table, table_bytes
 
 from conftest import complete_graph, path_graph, small_graphs
 
@@ -238,6 +240,26 @@ def test_load_labels_errors_name_the_file_line_past_comments():
         load_labels(b"# a comment\nnode,colour\n1,red\n")
     with pytest.raises(GraphParseError, match="<bytes>:3: label file needs a 'node' column"):
         load_labels(b"# a comment\n# another\nid,community\n")
+
+
+_KEYS = st.text(alphabet='ab,"', min_size=1)  # never blank, never a '#' comment
+_CELLS = st.none() | st.text(alphabet='ab ,"')
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(_KEYS, min_size=width, max_size=width),
+    st.lists(st.tuples(_KEYS, st.lists(_CELLS, min_size=width - 1, max_size=width - 1)),
+             max_size=5),
+)))
+def test_tables_round_trip_through_the_codec(table):
+    header, rows = table
+    rows = [[key, *cells] for key, cells in rows]
+    name, header_line, back_header, back_rows = read_table(table_bytes(header, rows))
+    assert (name, header_line, back_header) == ("<bytes>", 1, header)
+    assert back_rows == [
+        (line, ["" if cell is None else cell for cell in row])
+        for line, row in enumerate(rows, start=2)
+    ]
 
 
 # -- anonymization ------------------------------------------------------------

@@ -24,7 +24,7 @@ from orgminer.centrality import CentralityTable
 from orgminer.classifiers import make_classifier
 from orgminer.graph import load_labels
 from orgminer.leadership import build_instances
-from orgminer.pipeline import PipelineConfig, run_pipeline
+from orgminer.pipeline import PipelineConfig, community_artifacts, run_pipeline
 from orgminer.utils import derive_seed
 
 KEYWORDS = ("acme corp", "acme")
@@ -76,6 +76,8 @@ CRAWLS = {
     "fifo": bfs_crawl,
     "budget-700": lambda src, cfg: crawl(src, replace(cfg, max_fetches=700)),
     "v2": lambda src, cfg: crawl(src, replace(cfg, version="v2", window_size=200)),
+    # window 200 never fires on these worlds; window 20 stops every one by the window
+    "v2-window-20": lambda src, cfg: crawl(src, replace(cfg, version="v2", window_size=20)),
     "width-4": lambda src, cfg: crawl(src, replace(cfg, concurrency_width=4)),
 }
 
@@ -84,16 +86,19 @@ PINNED_CRAWL_STATES = {
     (1, "fifo"): "0a50d9504ce9e1b296a1e83a6c7ba51091f828a0ab9ab8a632ebbcc7d9106560",
     (1, "budget-700"): "85fb1370b517d57f0c8387b4613a4589b6d79d54c31022239799da8d2cec6ebb",
     (1, "v2"): "9ab3c579abf4cd888b54f6610d14de262ca594fe4b9238df740687c807408521",
+    (1, "v2-window-20"): "38c9c97cd78a8d17f0e075a03de6587fa1bbb169385b741ccf23fc02f6d7ddab",
     (1, "width-4"): "c0938e425dd04dc68874cd37bdac4be19421699a2e4785004411e727efce5707",
     (2, "focused"): "927c0eab43a1100cb90138d1621e75fc76b765b1430ea3848e8945323e07704a",
     (2, "fifo"): "123f7fb595237b3b5e8247b0e0bc9a43e14ab39da3cb1ca3c2c196eaee182767",
     (2, "budget-700"): "e93ca6e8f9fbd06d0f6f106ff1632207def94482d58aa81a9add091c0fd3461b",
     (2, "v2"): "1e70c09fd119aebc06df743a62c275e094d8b8c8cd6fed924ab805b9afcdde7b",
+    (2, "v2-window-20"): "d565b825a790808d33714596666a0216a0e4003f49ee43fc9bffc2c4e80bc8ff",
     (2, "width-4"): "8531b3d80e18172c706e002379465bc3cae3077508d9c5a4208aa9df261011f5",
     (3, "focused"): "3448ca1dc285fc178fdf0d72e0d4817ce2ab39c4ac68f6f57a6ed92cb208d645",
     (3, "fifo"): "a71d545be957cd6a6007f7e71934747a6e2c3c831d1546537fc6a6e39ce51338",
     (3, "budget-700"): "d858a8b91f4102a8921ea1cef7a5ed05b74631d67b60a48440a8d63a1e05ac68",
     (3, "v2"): "4549ae80d2ead4532615aa982fa02eb550321ee094f9cd03ccadb2a7c525c4fe",
+    (3, "v2-window-20"): "82b250443106f6b3fb76b7998cd322bf7c51e905a62a5e96bd2b350fed88fbcf",
     (3, "width-4"): "b81669764cae10a7b75c66c75c0584b21b09c2dff180cd4fa0cf5bfa9602c9ab",
 }
 
@@ -106,6 +111,27 @@ def test_crawl_states_are_pinned(seed):
         for name, run in CRAWLS.items()
     }
     assert got == {name: PINNED_CRAWL_STATES[seed, name] for name in CRAWLS}
+
+
+PINNED_WORLD_COMMUNITIES = {
+    (1, "communities.csv"): "d196ff05538643a93a65353ba06631db43c6751b28df498f91c34fc5878358e1",
+    (1, "community_report.csv"): "0c3071607aed0d7dccfa2270bd82f397fdbfd99dbe2a317a9dc93869e3e2edb3",
+    (2, "communities.csv"): "f7e6381802a66ef9a57790a36be7b8d642f003d109133488adfb4767446a09d6",
+    (2, "community_report.csv"): "798219496153b53b8b2248ceaec6c8e9cfebc46501d0095700ce5799a5de8112",
+    (3, "communities.csv"): "a59e8b8ab110b58aefb68102bde697eea5688a425619b7597bd58f6779b75572",
+    (3, "community_report.csv"): "837c128f7a20d574bc56e6344b19f59cfa00988b3cd6ef3a9b2e3ed97ccd04c5",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_world_communities_are_pinned(seed):
+    """The crawl world's whole graph: many small communities, so the role
+    vote's thresholds and tie-breaks decide rows, which the pipeline world's
+    large, well-labeled communities never exercise."""
+    world, _ = crawl_world(seed)
+    _, files = community_artifacts(world.graph)
+    got = {(seed, name): hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert got == {key: h for key, h in PINNED_WORLD_COMMUNITIES.items() if key[0] == seed}
 
 
 PINNED_ARTIFACTS = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import shutil
@@ -374,6 +375,16 @@ def test_cli_generate_writes_world_files(world_files, tmp_path, capsys):
     assert "world:" in capsys.readouterr().out
 
 
+def test_cli_generate_quotes_an_org_name_that_holds_a_comma(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_org_spec(name_keywords=["acme, inc"])))
+    assert cli.main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "census.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["org", "acme, inc", "TOTAL"]
+    assert {len(row) for row in rows} == {5}
+
+
 def test_cli_generate_honors_env_output_root(world_files, tmp_path, monkeypatch):
     monkeypatch.setenv("ORGMINER_OUT", str(tmp_path))
     assert cli.main(["generate", "--spec", str(world_files["spec"])]) == 0
@@ -604,6 +615,24 @@ def test_cli_evaluate_on_a_table_of_fewer_than_twenty_nodes(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 9
 
 
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+@pytest.mark.parametrize("row, problem", [
+    ("1,x\n", ":4: bad score: could not convert string to float: 'x'"),
+    ("x,0.5\n", ":4: node id must be an integer, got 'x'"),
+    ("1\n", ":4: row has 1 cells, the header 2"),
+], ids=["bad-float", "bad-node", "short-row"])
+def test_cli_names_the_file_line_of_a_bad_table_cell(
+    world_files, tmp_path, capsys, command, row, problem
+):
+    table = tmp_path / "centrality.csv"
+    table.write_text("# written by hand\nnode,dg\n0,0.5\n" + row)
+    out = ["--out-dir" if command == "rank" else "--out", str(tmp_path / "o")]
+    rc = cli.main([command, "--table", str(table), "--labels", str(world_files["labels"]), *out])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {table}{problem}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_chain_writes_the_pipeline_artifacts(world_files, pipeline_run, tmp_path):
     """The subcommands, fed the run's seeds, write the pipeline's bytes
     minus the config trailer."""
@@ -686,6 +715,21 @@ def test_cli_communities_counts_classified_positions_with_given_rules(
     assert cli.main(args) == 0
     rows = [ln.split(",") for ln in report.read_text().splitlines()[1:]]
     assert sum(int(r[4]) for r in rows) > 0  # the bundled table does
+
+
+def test_cli_communities_quotes_a_category_that_holds_a_comma(world_files, tmp_path):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [{"category": "Staff, all", "keywords": ["a"]}]}))
+    report = tmp_path / "report.csv"
+    args = ["communities", "--edges", str(world_files["edges"])]
+    args += ["--profiles", str(world_files["profiles"]), "--rules", str(rules)]
+    args += ["--out-partition", str(tmp_path / "partition.csv"), "--out-report", str(report)]
+    assert cli.main(args) == 0
+    with open(report, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    descriptions = {row[-1] for row in rows}
+    assert {"Staff, all / east", "Staff, all / west"} <= descriptions
 
 
 @pytest.mark.parametrize("case", MALFORMED_RULES)
@@ -833,6 +877,27 @@ def test_cli_pipeline_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, conf
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, prefix", [
+    (["pipeline", "--config", "{bad}"], ""),
+    (["pipeline", "--spec", "{bad}"], "stage 'generate' failed: "),
+    (["generate", "--spec", "{bad}"], ""),
+    (["communities", "--edges", "{edges}", "--rules", "{bad}",
+      "--out-partition", "{out}/p.csv", "--out-report", "{out}/r.csv"], ""),
+], ids=["pipeline-config", "pipeline-spec", "generate-spec", "communities-rules"])
+def test_cli_names_a_json_input_that_does_not_parse(world_files, tmp_path, capsys, args, prefix):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"orgs": [\n  oops]}\n')
+    out = tmp_path / "out"
+    args = [a.format(bad=bad, edges=world_files["edges"], out=out) for a in args]
+    if args[0] != "communities":
+        args += ["--out-dir", str(out)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {prefix}{bad}:2: bad JSON: Expecting value at column 3"]
+    if args[0] != "pipeline":
+        assert not out.exists()
 
 
 def test_cli_reports_missing_files_as_errors(tmp_path, capsys):
