@@ -32,13 +32,16 @@ from __future__ import annotations
 
 import heapq
 import json
-import operator
+from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
@@ -280,16 +283,26 @@ class Frontier:
         return f
 
 
+def _sorted_pairs(edges: array) -> np.ndarray:
+    """The ``(u, v)`` rows of a flat int64 pair array, ascending by u, then v."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 @dataclass
 class CrawlState:
-    """Everything a crawl needs to continue exactly where it stopped."""
+    """Everything a crawl needs to continue exactly where it stopped.
+
+    ``edges`` holds ``u, v`` for each kept edge, ``u < v``, flat in one
+    int64 array: an edge is appended once, when the later of its two
+    confirmed endpoints is applied."""
 
     config: CrawlConfig
     strategy: str  # "priority" | "fifo"
     frontier: Frontier
     crawled: set[int]
     confirmed: set[int]
-    edges: set[tuple[int, int]]
+    edges: array
     profiles: dict[int, Profile]
     window: deque
     fetch_count: int = 0
@@ -311,7 +324,7 @@ class CrawlState:
             frontier=frontier,
             crawled=set(),
             confirmed=set(),
-            edges=set(),
+            edges=array("q"),
             profiles={},
             window=deque(maxlen=config.window_size),
             fetch_count=0,
@@ -332,7 +345,7 @@ class CrawlState:
             "frontier": self.frontier.dump(),
             "crawled": sorted(self.crawled),
             "confirmed": sorted(self.confirmed),
-            "edges": sorted(self.edges),
+            "edges": _sorted_pairs(self.edges).tolist(),
             "profiles": {
                 str(v): profile_to_dict(p) for v, p in sorted(self.profiles.items())
             },
@@ -382,13 +395,17 @@ class CrawlState:
             if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
                 raise StateError("corrupt crawl state: edges must be [u, v] pairs")
             us, vs = tuple(zip(*edges)) or ((), ())
-            _check_ints(us + vs, "edges")
+            _check_ints(us + vs, "edges", -_INT64, _INT64 - 1)
             crawled, confirmed = set(crawled), set(confirmed)
             if not confirmed <= crawled:
                 raise StateError("corrupt crawl state: a confirmed node was never crawled")
-            if not set(us).union(vs) <= confirmed or any(map(operator.ge, us, vs)):
+            pairs = array("q", chain.from_iterable(edges))
+            rows = _sorted_pairs(pairs)
+            if not set(us).union(vs) <= confirmed or (rows[:, 0] >= rows[:, 1]).any():
                 raise StateError(
                     "corrupt crawl state: an edge must join two confirmed nodes, smaller id first")
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
+                raise StateError("corrupt crawl state: an edge is listed twice")
             records = payload["profiles"]
             profiles = [profile_from_dict(d) for d in records.values()]
             if [str(p.node) for p in profiles] != list(records):
@@ -399,7 +416,7 @@ class CrawlState:
                 frontier=frontier,
                 crawled=crawled,
                 confirmed=confirmed,
-                edges=set(zip(us, vs)),
+                edges=pairs,
                 profiles={p.node: p for p in profiles},
                 window=deque(window, maxlen=config.window_size),
                 fetch_count=payload["fetch_count"],
@@ -590,11 +607,12 @@ def _run(
                         state.profiles[node] = profile
                         # confirmed is a subset of crawled (decode checks
                         # it), so a crawled friend is an edge when confirmed
-                        # and is never queued
+                        # and is never queued; a node is applied once, so
+                        # each edge is added once, by its later endpoint
                         for friend in friends:
                             if friend in crawled:
                                 if friend in confirmed:
-                                    edges.add((node, friend) if node < friend else (friend, node))
+                                    edges.extend((node, friend) if node < friend else (friend, node))
                             elif friend not in entries:
                                 push(friend, base)
                             elif focused:
@@ -611,7 +629,8 @@ def _run(
         if executor is not None:
             executor.shutdown(wait=True)
 
-    graph = SocialGraph(state.confirmed, state.edges, dict(state.profiles))
+    # from a copy, so no view pins the array: a resumed crawl appends to it
+    graph = SocialGraph(state.confirmed, np.array(state.edges), dict(state.profiles))
     stats = CrawlStats(
         fetched=state.fetch_count,
         confirmed=len(state.confirmed),

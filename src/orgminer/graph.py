@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .utils import sorted_unique
+from .utils import sorted_unique, utf8_error
 
 EXPORT_FORMATS = ("edge-list", "graphml", "dot", "csv")
 
@@ -58,7 +58,7 @@ class GraphParseError(GraphError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """Public profile fields for one node.
 
@@ -178,9 +178,12 @@ class SocialGraph:
         return bool(i < len(self._ids) and self._ids[i] == v)
 
     def sorted_neighbors(self, v: int) -> tuple[int, ...]:
-        """The neighbours of ``v`` in ascending id order."""
+        """The neighbours of ``v`` in ascending id order, as the graph's own
+        int objects (those of ``nodes``), so friend lists cached per node
+        hold no int of their own."""
         p = self.index_of(v)
-        return tuple(self._ids[self._indices[self._indptr[p] : self._indptr[p + 1]]].tolist())
+        row = self._indices[self._indptr[p] : self._indptr[p + 1]].tolist()
+        return tuple(map(self._nodes.__getitem__, row))
 
     def degree(self, v: int) -> int:
         p = self.index_of(v)
@@ -367,10 +370,16 @@ def load_profiles(source: str | Path | bytes) -> dict[int, Profile]:
 
 
 def _read_text(source: str | Path | bytes) -> tuple[str, str]:
+    """The source's name and its text; bytes that are not UTF-8 are a
+    ``GraphParseError`` naming the line."""
     if isinstance(source, bytes):
-        return "<bytes>", source.decode("utf-8")
-    path = Path(source)
-    return str(path), path.read_text(encoding="utf-8")
+        name, data = "<bytes>", source
+    else:
+        name, data = str(source), Path(source).read_bytes()
+    try:
+        return name, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(name, *utf8_error(data, exc)) from None
 
 
 def parse_edge_list(source: str | Path | bytes) -> SocialGraph:
@@ -450,11 +459,14 @@ def table_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     """A CSV table: ``header``, then one line per row. Cells are written by
     ``csv``'s rules (``None`` empty, a float its ``repr``, a cell holding a
     comma, a quote or a line break quoted); boolean cells go through
-    ``_format_cell`` first."""
+    ``_format_cell`` first. A line whose first cell begins with ``#`` has
+    every cell quoted, since ``read_table`` drops a line that begins with
+    ``#`` as a comment."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in chain((header,), rows):
+        (quoted if row and str(row[0]).startswith("#") else writer).writerow(row)
     return out.getvalue().encode("utf-8")
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .centrality import MEASURES, CentralityTable
+from .centrality import MEASURES, CentralityError, CentralityTable
 from .classifiers import make_classifier
 from .graph import table_bytes
 
@@ -50,9 +50,10 @@ class RankedList:
 
 
 def rank_nodes(table: CentralityTable, measure: str) -> RankedList:
-    """Nodes by descending score, ties toward the smaller node id."""
+    """Nodes by descending score, ties toward the smaller node id. A
+    measure the table lacks is a ``CentralityError``."""
     if measure not in table.measures:
-        raise KeyError(f"measure {measure!r} not present in table")
+        raise CentralityError(f"measure {measure!r} not present in table")
     scores = table.values[:, MEASURES.index(measure)]
     nodes = np.array(table.nodes, dtype=np.int64)
     order = np.lexsort((nodes, -scores))

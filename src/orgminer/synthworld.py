@@ -201,7 +201,8 @@ class WorldTruth:
 
 
 class FetchSource(Protocol):
-    """Profile server a crawler talks to."""
+    """Profile server a crawler talks to. A fetch returns the node's
+    profile and its friends, each listed once."""
 
     @property
     def fetch_count(self) -> int: ...

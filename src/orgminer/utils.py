@@ -1,7 +1,7 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-a JSON file reader, the typed decoder of settings dataclasses,
-apportionment, a sorted unique of int arrays, and a cyclic-GC pause for
-bulk builds."""
+the position of a failed UTF-8 decode, a JSON file reader, the typed
+decoder of settings dataclasses, apportionment, a sorted unique of int
+arrays, and a cyclic-GC pause for bulk builds."""
 
 from __future__ import annotations
 
@@ -42,11 +42,24 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+def utf8_error(data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
+    """The line of ``data`` that ``exc``, its failed UTF-8 decode, points
+    at, and a message naming the column (both counted from 1, the column
+    in bytes)."""
+    line_start = data.rfind(b"\n", 0, exc.start) + 1
+    column = exc.start - line_start + 1
+    return data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} at column {column}"
+
+
 def read_json(path: str | Path, error: type[Exception]):
-    """The JSON value in the file at ``path``. Text that does not parse
-    raises ``error`` naming the file and line."""
+    """The JSON value in the file at ``path``. A file that is not UTF-8 or
+    text that does not parse raises ``error`` naming the file and line."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line, message = utf8_error(data, exc)
+        raise error(f"{path}:{line}: {message}") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
 

@@ -6,6 +6,7 @@ import json
 import re
 import time
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -437,6 +438,21 @@ def test_wider_crawl_confirms_same_members_on_closed_world():
     assert set(narrow.graph.nodes) == set(wide.graph.nodes)
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_state_edges_hold_each_kept_edge_once_smaller_id_first(width):
+    world = generate_world(crawl_world_spec(3))
+    seeds = org_members(world)[:3]
+    cfg = CrawlConfig(seeds=seeds, keywords=["acme"], concurrency_width=width)
+    part = crawl(world.fresh_source(), replace(cfg, max_fetches=40))
+    state = CrawlState.from_json_bytes(part.state.to_json_bytes())
+    for res in (crawl(world.fresh_source(), cfg), crawl(world.fresh_source(), cfg, state)):
+        edges = res.state.edges
+        assert isinstance(edges, array) and edges.typecode == "q"
+        pairs = list(zip(edges[::2], edges[1::2]))
+        assert all(u < v for u, v in pairs)
+        assert sorted(pairs) == res.graph.edges() and len(pairs) > 50
+
+
 class LastFirstSource:
     """Wraps a source so that, in each group of four fetches, the later a
     fetch starts the sooner it finishes."""
@@ -823,6 +839,10 @@ def _corrupt_reversed_edge(payload):
     payload["edges"][0].reverse()
 
 
+def _corrupt_repeated_edge(payload):
+    payload["edges"].append(list(payload["edges"][0]))
+
+
 def _corrupt_profile_key(payload):
     key = next(iter(payload["profiles"]))
     payload["profiles"][f" +{key}"] = payload["profiles"].pop(key)
@@ -852,6 +872,7 @@ def _corrupt_list_fingerprint(payload):
     _corrupt_short_edge, _corrupt_float_window, _corrupt_window_flag,
     _corrupt_string_fetch_count, _corrupt_bool_not_found, _corrupt_float_not_found,
     _corrupt_confirmed_never_crawled, _corrupt_edge_to_unknown_nodes, _corrupt_reversed_edge,
+    _corrupt_repeated_edge,
     _corrupt_profile_key, _corrupt_profile_node, _corrupt_int_fingerprint,
     _corrupt_list_fingerprint,
 ])

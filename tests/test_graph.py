@@ -61,6 +61,13 @@ def test_construct_names_an_id_that_does_not_fit_int64():
     assert not SocialGraph([0], []).has_node(2**70)
 
 
+def test_profile_is_slotted():
+    p = Profile(node=0, name="a")
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.name = "b"
+
+
 def test_profile_invariants():
     with pytest.raises(GraphError):
         Profile(node=0, discloses_position=True)  # no position to disclose
@@ -242,8 +249,18 @@ def test_load_labels_errors_name_the_file_line_past_comments():
         load_labels(b"# a comment\n# another\nid,community\n")
 
 
-_KEYS = st.text(alphabet='ab,"', min_size=1)  # never blank, never a '#' comment
-_CELLS = st.none() | st.text(alphabet='ab ,"')
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"node,dg\n0,0.5\xff\n")
+    with pytest.raises(GraphParseError) as info:
+        read_table(path)
+    assert str(info.value) == f"{path}:2: not UTF-8: invalid start byte at column 6"
+    with pytest.raises(GraphParseError, match="^<bytes>:3: not UTF-8: invalid continuation byte"):
+        parse_edge_list(b"0 1\n1 2\n2 \xc3x\n")
+
+
+_KEYS = st.text(alphabet='ab,"#', min_size=1)  # never blank
+_CELLS = st.none() | st.text(alphabet='ab ,"#')
 
 
 @given(st.integers(1, 4).flatmap(lambda width: st.tuples(

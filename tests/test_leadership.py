@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from orgminer import (
     MEASURES,
     CentralityConfig,
+    CentralityError,
     UnlabeledNodesError,
     auc_rank_statistic,
     build_instances,
@@ -64,7 +65,7 @@ def test_rank_nodes_star_center_first():
 
 
 def test_rank_nodes_unknown_measure(small_table):
-    with pytest.raises(KeyError):
+    with pytest.raises(CentralityError, match="^measure 'fame' not present in table$"):
         rank_nodes(small_table, "fame")
 
 

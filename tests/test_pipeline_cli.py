@@ -633,6 +633,33 @@ def test_cli_names_the_file_line_of_a_bad_table_cell(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["rank", "--table", "{bad}", "--labels", "{labels}", "--out-dir", "{out}"], "bad_utf8.csv"),
+    (["generate", "--spec", "{bad}", "--out-dir", "{out}"], "bad_utf8.json"),
+], ids=["rank-table", "generate-spec"])
+def test_cli_names_the_line_of_an_input_that_is_not_utf8(
+    world_files, tmp_path, capsys, args, name
+):
+    bad, out = tmp_path / name, tmp_path / "out"
+    table = name.endswith(".csv")
+    bad.write_bytes(b"node,dg\n0,\xff\n" if table else b'{\n "orgs": "\xff"}\n')
+    args = [a.format(bad=bad, labels=world_files["labels"], out=out) for a in args]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    column = 3 if table else 11
+    assert err == [f"error: {bad}:2: not UTF-8: invalid start byte at column {column}"]
+    assert not out.exists()
+
+
+def test_cli_rank_names_a_measure_the_table_lacks(world_files, tmp_path, capsys):
+    table, out = tmp_path / "centrality.csv", tmp_path / "out"
+    table.write_text("node,dg\n" + "".join(f"{v},{v / 30}\n" for v in range(30)))
+    args = ["rank", "--table", str(table), "--labels", str(world_files["labels"])]
+    assert cli.main(args + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: measure 'cl' not present in table"]
+    assert not out.exists()
+
+
 def test_cli_chain_writes_the_pipeline_artifacts(world_files, pipeline_run, tmp_path):
     """The subcommands, fed the run's seeds, write the pipeline's bytes
     minus the config trailer."""

@@ -21,7 +21,7 @@ from orgminer import (
 from orgminer.pipeline import world_artifacts
 from orgminer.utils import derive_seed
 
-from conftest import org_members, two_community_spec
+from conftest import crawl_world_spec, org_members, two_community_spec
 
 
 def clique_spec(seed: int = 0) -> WorldSpec:
@@ -267,6 +267,15 @@ def test_fresh_sources_share_friend_tuples_and_count_apart():
     assert world.source.fetch_profile(member)[1] is friends
     second.fetch_profile(member)
     assert (first.fetch_count, second.fetch_count, world.source.fetch_count) == (1, 2, 1)
+
+
+def test_friend_tuples_hold_the_graphs_own_ints():
+    world = generate_world(crawl_world_spec(3))
+    nodes = world.graph.nodes
+    for src in (world.fresh_source(), world.fresh_source()):
+        friends = [f for v in nodes for f in src.fetch_profile(v)[1]]
+        assert max(friends) > 256  # past CPython's cache of small ints
+        assert all(f is nodes[world.graph.index_of(f)] for f in friends)
 
 
 def test_concurrent_first_fetches_agree_on_one_tuple_per_node():

@@ -10,11 +10,24 @@ from orgminer.utils import (
     content_hash,
     derive_seed,
     gc_paused,
+    read_json,
     stable_json,
     write_bytes_atomic,
 )
 
 from conftest import write_half_then_fail
+
+
+class _SpecError(ValueError):
+    pass
+
+
+def test_read_json_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{\n  "name": "\xff"\n}\n')
+    with pytest.raises(_SpecError) as info:
+        read_json(path, _SpecError)
+    assert str(info.value) == f"{path}:2: not UTF-8: invalid start byte at column 12"
 
 
 def test_derive_seed_deterministic_and_stage_sensitive():
