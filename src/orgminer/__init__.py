@@ -45,7 +45,6 @@ from .crawler import (
     StateError,
     bfs_crawl,
     crawl,
-    keyword_match,
     resume,
     save_state,
 )
@@ -61,7 +60,6 @@ from .graph import (
     export_graph,
     labels_to_csv_bytes,
     load_graph,
-    load_graphml,
     load_labels,
     load_profiles,
     parse_edge_list,

@@ -22,6 +22,7 @@ from .crawler import CrawlConfig, CrawlError, bfs_crawl, crawl, resume, save_sta
 from .graph import (
     EXPORT_FORMATS,
     GraphError,
+    _read_text,
     anonymize,
     edge_list_bytes,
     export_graph,
@@ -180,7 +181,7 @@ def _cmd_report(args) -> int:
     out = Path(args.dir)
     report = out / "report.txt"
     if report.exists():
-        sys.stdout.write(report.read_text(encoding="utf-8"))
+        sys.stdout.write(_read_text(report)[1])
     problems = verify_manifest(out)
     if problems:
         for p in problems:

@@ -19,9 +19,10 @@ and never raises it, so the same frontier pops in first-enqueue order.
 Widths above 1 fetch a batch in parallel and apply it in pop order, so
 every crawl is deterministic.
 
-A state decodes as strictly as it was written: an unknown config key, a
-value of the wrong JSON type, or a bool, float or string where an integer
-belongs is a ``StateError``. Encoding and decoding a crawl state run
+A state decodes as strictly as it was written: bytes that are not UTF-8
+JSON (named by file and line through ``utils.read_json``), an unknown
+config key, a value of the wrong JSON type, or a bool, float or string
+where an integer belongs is a ``StateError``. Encoding and decoding a crawl state run
 with cyclic GC paused (``utils.gc_paused``): the payload is tens of
 thousands of acyclic lists and dicts, and without the pause a checkpoint
 or resume pays for full collections over every object of the world being
@@ -31,7 +32,6 @@ crawled.
 from __future__ import annotations
 
 import heapq
-import json
 from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +45,7 @@ import numpy as np
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
-from .utils import decode_dataclass, gc_paused, stable_json, write_bytes_atomic
+from .utils import decode_dataclass, gc_paused, read_json, stable_json, write_bytes_atomic
 
 STATE_FORMAT_VERSION = 1
 
@@ -63,7 +63,9 @@ def _normalize(text: str) -> str:
 
 
 def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
-    """``keyword_match`` with ``keywords`` normalized once.
+    """A test of whether any normalized keyword is a substring of any
+    normalized text field of a profile. Normalization case-folds and
+    collapses whitespace, and ``keywords`` are normalized once.
 
     A normalized needle holds no newline, so no match spans two
     newline-joined fields. A profile is normalized only once the longest
@@ -86,12 +88,6 @@ def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
         return False
 
     return match
-
-
-def keyword_match(profile: Profile, keywords: Sequence[str]) -> bool:
-    """True when any normalized keyword is a substring of any normalized text
-    field. Normalization case-folds and collapses whitespace."""
-    return _matcher(keywords)(profile)
 
 
 @dataclass(frozen=True)
@@ -216,11 +212,7 @@ class Frontier:
             del buckets[priority]
         return None
 
-    def pop(self) -> tuple[int, int]:
-        node, priority, _seq = self._take()
-        return node, priority
-
-    def _take(self) -> tuple[int, int, int]:
+    def pop(self) -> tuple[int, int, int]:
         """Pop the top row as ``(node, priority, seq)``."""
         priority = self.max_priority()
         if priority is None:
@@ -234,7 +226,7 @@ class Frontier:
         return node, priority, seq
 
     def _put_back(self, rows: Sequence[tuple[int, int, int]]) -> None:
-        """Undo the ``_take`` of each ``(node, priority, seq)`` row."""
+        """Undo the ``pop`` of each ``(node, priority, seq)`` row."""
         for node, priority, seq in rows:
             self._entries[node] = seq
             self._nodes[seq] = node
@@ -356,15 +348,17 @@ class CrawlState:
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "CrawlState":
-        with gc_paused():  # the decoded payload is freed before GC comes back on
-            return cls._decode(data)
+        return cls._read(data)
 
     @classmethod
-    def _decode(cls, data: bytes) -> "CrawlState":
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StateError(f"corrupt crawl state: {exc}") from exc
+    def _read(cls, source: str | Path | bytes) -> "CrawlState":
+        """The state in a file or a document's bytes; bytes that are not
+        UTF-8 or JSON are a StateError naming the file and line."""
+        with gc_paused():  # the decoded payload is freed before GC comes back on
+            return cls._decode(read_json(source, StateError))
+
+    @classmethod
+    def _decode(cls, payload) -> "CrawlState":
         if not isinstance(payload, dict):
             raise StateError("corrupt crawl state: not an object")
         version = payload.get("format_version")
@@ -460,7 +454,7 @@ def save_state(state: CrawlState, path: str | Path) -> None:
 
 def resume(path: str | Path, src: FetchSource) -> CrawlState:
     """Load a crawl state and check it belongs to this fetch source."""
-    state = CrawlState.from_json_bytes(Path(path).read_bytes())
+    state = CrawlState._read(path)
     if state.fingerprint != src.fingerprint:
         raise StateError(
             f"state fingerprint {state.fingerprint} does not match "
@@ -539,7 +533,7 @@ def _run(
     the error propagates, so the state stays one that resumes exactly."""
     cfg = state.config
     frontier, window = state.frontier, state.window
-    entries, take = frontier._entries, frontier._take
+    entries, pop = frontier._entries, frontier.pop
     push, increase = frontier.push, frontier.increase
     crawled, confirmed, edges = state.crawled, state.confirmed, state.edges
     focused = state.strategy == "priority"
@@ -579,13 +573,13 @@ def _run(
             # batch path alone ran crawl-20k at a 0.695 s run_s median against
             # 0.574 s (8 alternating benchmark pairs on 2 vCPUs)
             if executor is None:
-                rows = (take(),)
+                rows = (pop(),)
                 batch = (rows[0][0],)
             else:
                 width = cfg.concurrency_width
                 if budget is not None:
                     width = min(width, budget - state.fetch_count)
-                rows = [take() for _ in range(min(width, len(entries)))]
+                rows = [pop() for _ in range(min(width, len(entries)))]
                 batch = [row[0] for row in rows]
             try:
                 results = (

@@ -626,7 +626,6 @@ _GRAPHML_ATTRS = (
     ("discloses_position", "boolean"),
     ("community", "string"),
 )
-_GRAPHML_KINDS = dict(_GRAPHML_ATTRS)
 
 
 def _graphml_text(value) -> str:
@@ -634,13 +633,6 @@ def _graphml_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return json.dumps(value) if isinstance(value, list) else value
-
-
-def _graphml_value(attr: str, text: str):
-    """GraphML data text of ``attr`` as its ``profile_from_dict`` value."""
-    if _GRAPHML_KINDS[attr] == "boolean":
-        return text == "true"
-    return json.loads(text) if attr == "employers" else text
 
 
 def _graphml_bytes(g: SocialGraph, communities) -> bytes:
@@ -688,42 +680,6 @@ def _graphml_bytes(g: SocialGraph, communities) -> bytes:
     buf = io.BytesIO()
     ET.ElementTree(root).write(buf, encoding="utf-8", xml_declaration=True)
     return buf.getvalue() + b"\n"
-
-
-def load_graphml(source: str | Path | bytes) -> SocialGraph:
-    """Parse GraphML from :func:`export_graph`; non-profile attributes are ignored."""
-    name, text = _read_text(source)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise GraphParseError(name, exc.position[0], f"bad XML: {exc}") from exc
-    keys: dict[str, str] = {}
-    for key_el in root.findall(f"{{{_GRAPHML_NS}}}key"):
-        keys[key_el.get("id", "")] = key_el.get("attr.name", "")
-    graph_el = root.find(f"{{{_GRAPHML_NS}}}graph")
-    if graph_el is None:
-        raise GraphError(f"{name}: no <graph> element")
-    nodes: set[int] = set()
-    raw_attrs: dict[int, dict[str, str]] = {}
-    for node_el in graph_el.findall(f"{{{_GRAPHML_NS}}}node"):
-        v = int(node_el.get("id", ""))
-        nodes.add(v)
-        vals: dict[str, str] = {}
-        for data in node_el.findall(f"{{{_GRAPHML_NS}}}data"):
-            attr = keys.get(data.get("key", ""), "")
-            vals[attr] = data.text or ""
-        raw_attrs[v] = vals
-    edges = []
-    for edge_el in graph_el.findall(f"{{{_GRAPHML_NS}}}edge"):
-        edges.append((int(edge_el.get("source", "")), int(edge_el.get("target", ""))))
-    profiles: dict[int, Profile] = {}
-    for v, vals in raw_attrs.items():
-        vals.pop("community", None)
-        if not vals:
-            continue
-        record = {a: _graphml_value(a, t) for a, t in vals.items() if a in _GRAPHML_KINDS}
-        profiles[v] = profile_from_dict({**record, "node": v})
-    return SocialGraph(nodes, edges, profiles)
 
 
 def _dot_bytes(g: SocialGraph, communities) -> bytes:

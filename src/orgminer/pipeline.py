@@ -29,7 +29,6 @@ subcommand calls without the hash: it writes the bytes of its stage.
 
 from __future__ import annotations
 
-import json
 import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -76,6 +75,7 @@ from .utils import (
     content_hash,
     decode_dataclass,
     derive_seed,
+    read_json,
     stable_json,
     write_bytes_atomic,
 )
@@ -474,18 +474,26 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
 
 
 def verify_manifest(out_dir: str | Path) -> list[str]:
-    """Re-hash every artifact against the manifest; return mismatches."""
+    """Re-hash every artifact against the manifest; return mismatches. A
+    manifest that is not UTF-8 JSON, not an object, or whose artifacts are
+    not a map of plain file names to hashes is one problem naming why."""
     out = Path(out_dir)
-    manifest_path = out / "manifest.json"
-    problems: list[str] = []
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_json(out / "manifest.json", ValueError)
     except FileNotFoundError:
         return ["manifest.json missing"]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         return [f"manifest.json unreadable: {exc}"]
+    if not isinstance(manifest, dict):
+        return ["manifest.json: not an object"]
     recorded = manifest.get("artifacts", {})
+    if not isinstance(recorded, dict) or not all(isinstance(h, str) for h in recorded.values()):
+        return ["manifest.json: artifacts must map file names to hashes"]
+    problems: list[str] = []
     for name, expected in sorted(recorded.items()):
+        if name in ("", "..") or Path(name).name != name:
+            problems.append(f"{name}: not a file name in the run directory")
+            continue
         if name == "manifest.json":
             continue
         path = out / name

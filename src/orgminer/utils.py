@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-the position of a failed UTF-8 decode, a JSON file reader, the typed
+the position of a failed UTF-8 decode, the JSON document reader, the typed
 decoder of settings dataclasses, apportionment, a sorted unique of int
 arrays, and a cyclic-GC pause for bulk builds."""
 
@@ -51,17 +51,21 @@ def utf8_error(data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
     return data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} at column {column}"
 
 
-def read_json(path: str | Path, error: type[Exception]):
-    """The JSON value in the file at ``path``. A file that is not UTF-8 or
-    text that does not parse raises ``error`` naming the file and line."""
-    data = Path(path).read_bytes()
+def read_json(source: str | Path | bytes, error: type[Exception]):
+    """The JSON value in the file at ``source``, or in a document's bytes
+    (named ``<bytes>``). Bytes that are not UTF-8 or text that does not
+    parse raise ``error`` naming the file and line."""
+    if isinstance(source, bytes):
+        name, data = "<bytes>", source
+    else:
+        name, data = str(source), Path(source).read_bytes()
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line, message = utf8_error(data, exc)
-        raise error(f"{path}:{line}: {message}") from None
+        raise error(f"{name}:{line}: {message}") from None
     except json.JSONDecodeError as exc:
-        raise error(f"{path}:{exc.lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
+        raise error(f"{name}:{exc.lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
 
 
 def decode_dataclass(cls, data, error: type[Exception], what: str):

@@ -22,11 +22,10 @@ from orgminer import (
     bfs_crawl,
     crawl,
     generate_world,
-    keyword_match,
     resume,
     save_state,
 )
-from orgminer.crawler import CrawlState, Frontier, _normalize
+from orgminer.crawler import CrawlState, Frontier, _matcher, _normalize
 from orgminer.synthworld import InMemorySource
 from orgminer.graph import GraphError, SocialGraph
 from orgminer.utils import stable_json
@@ -50,22 +49,22 @@ def make_source(nodes, edges, employers):
 
 def test_keyword_match_case_and_whitespace_folding():
     p = Profile(node=0, employers=("BGU  ISE",))
-    assert keyword_match(p, ["bgu ise"])
+    assert _matcher(["bgu ise"])(p)
 
 
 def test_keyword_match_empty_employers():
-    assert not keyword_match(Profile(node=0), ["anything"])
+    assert not _matcher(["anything"])(Profile(node=0))
 
 
 def test_keyword_match_substring():
     p = Profile(node=0, employers=("works at AcmeCorp",))
-    assert keyword_match(p, ["AcmeCorp"])
+    assert _matcher(["AcmeCorp"])(p)
 
 
 def test_keyword_match_checks_position_and_name_too():
     p = Profile(node=0, name="Acme fan club", position="engineer at acme")
-    assert keyword_match(p, ["acme"])
-    assert not keyword_match(p, ["globex"])
+    assert _matcher(["acme"])(p)
+    assert not _matcher(["globex"])(p)
 
 
 # Reference implementations: a regex normalizer and a matcher that normalizes
@@ -112,7 +111,7 @@ def test_keyword_match_equals_the_regex_reference(employers, name, position, key
     p = Profile(node=0, employers=tuple(employers), name=name, position=position)
     for text in (*employers, name, position, *keywords):
         assert _normalize(text) == ref_normalize(text)
-    assert keyword_match(p, keywords) == ref_keyword_match(p, keywords)
+    assert _matcher(keywords)(p) == ref_keyword_match(p, keywords)
 
 
 _GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x85\xa0", "\u2028 "])
@@ -132,20 +131,20 @@ def test_keyword_prefilter_keeps_every_case_and_whitespace_variant(words, gaps, 
     text = prefix + " " + "".join(w.swapcase() + next(cycle) for w in words) + suffix
     p = Profile(node=0, employers=(text,), name=prefix)
     keyword = " ".join(words)
-    assert keyword_match(p, [keyword])
+    assert _matcher([keyword])(p)
     assert ref_keyword_match(p, [keyword])
 
 
 def test_keyword_match_ignores_empty_and_blank_keywords():
     p = Profile(node=0, employers=("acme",))
-    assert not keyword_match(p, ["", "  ", "\u3000\x85"])
-    assert keyword_match(p, ["", " ACME "])
+    assert not _matcher(["", "  ", "\u3000\x85"])(p)
+    assert _matcher(["", " ACME "])(p)
 
 
 def test_keyword_never_matches_across_two_fields():
     p = Profile(node=0, employers=("acme", "corp"))
-    assert not keyword_match(p, ["acme corp"])
-    assert not keyword_match(p, ["acme\ncorp"])
+    assert not _matcher(["acme corp"])(p)
+    assert not _matcher(["acme\ncorp"])(p)
 
 
 # -- frontier -----------------------------------------------------------------
@@ -188,7 +187,7 @@ class TupleFrontier:
             raise CrawlError("frontier is empty")
         neg, seq, node = heapq.heappop(self._heap)
         del self._entries[node]
-        return node, -neg
+        return node, -neg, seq
 
     def max_priority(self):
         self._clean_top()
@@ -263,9 +262,9 @@ def test_frontier_max_priority_then_fifo():
     f.push(12, 3)
     f.increase(11)
     # 12 has priority 3; 11 was bumped to 2; 10 stays at 1
-    assert f.pop() == (12, 3)
-    assert f.pop() == (11, 2)
-    assert f.pop() == (10, 1)
+    assert f.pop() == (12, 3, 2)
+    assert f.pop() == (11, 2, 1)
+    assert f.pop() == (10, 1, 0)
 
 
 def test_frontier_fifo_among_ties():
@@ -283,7 +282,7 @@ def test_frontier_single_entry_per_node():
     assert len(f) == 1
     f.increase(1)
     assert f.items() == {1: 2}
-    assert f.pop() == (1, 2)
+    assert f.pop() == (1, 2, 0)
     assert len(f) == 0
 
 
@@ -295,11 +294,12 @@ def test_frontier_rejects_node_ids_outside_the_key_range(node):
     assert len(f) == 0
     for v in (2**63 - 1, -(2**63), -1, 0):
         f.push(v, 1)
-    assert [f.pop() for _ in range(4)] == [(2**63 - 1, 1), (-(2**63), 1), (-1, 1), (0, 1)]
+    assert [f.pop() for _ in range(4)] == [
+        (2**63 - 1, 1, 0), (-(2**63), 1, 1), (-1, 1, 2), (0, 1, 3)]
     f = Frontier.restore(
         {"next_seq": 2, "entries": [[-(2**63), 3, 0], [2**63 - 1, 3, 1]]}
     )
-    assert [f.pop() for _ in range(2)] == [(-(2**63), 3), (2**63 - 1, 3)]
+    assert [f.pop() for _ in range(2)] == [(-(2**63), 3, 0), (2**63 - 1, 3, 1)]
 
 
 def test_frontier_restore_takes_plain_ints_only():
@@ -321,7 +321,7 @@ def test_frontier_restore_allocates_nothing_per_seq():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert f.pop() == (1, 0)
+    assert f.pop() == (1, 0, 0)
     assert f.dump() == {"next_seq": 2**48 - 1, "entries": []}
 
 
@@ -943,6 +943,25 @@ def test_corrupt_state_file_rejected(tmp_path):
     path.write_bytes(b'{"format_version": 99}')
     with pytest.raises(StateError):
         resume(path, world.fresh_source())
+
+
+@pytest.mark.parametrize("bad", ["not-utf8", "truncated"])
+def test_resume_names_the_line_of_a_state_that_is_not_json(tmp_path, bad):
+    world = generate_world(crawl_world_spec(9))
+    seeds = org_members(world)[:3]
+    src = world.fresh_source()
+    part = crawl(src, CrawlConfig(seeds=seeds, keywords=["acme"], max_fetches=9))
+    data = part.state.to_json_bytes()
+    if bad == "not-utf8":
+        data, problem = b"\xff" + data, "not UTF-8: invalid start byte at column 1"
+    else:
+        data, problem = data[: len(data) // 2], "bad JSON: "
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    with pytest.raises(StateError, match=f"^{re.escape(f'{path}:1: {problem}')}"):
+        resume(path, src)
+    with pytest.raises(StateError, match=f"^<bytes>:1: {problem}"):
+        CrawlState.from_json_bytes(data)
 
 
 @pytest.mark.parametrize("config, message", [

@@ -1,5 +1,6 @@
 import json
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,6 @@ from orgminer import (
     export_graph,
     labels_to_csv_bytes,
     load_graph,
-    load_graphml,
     load_labels,
     load_profiles,
     parse_edge_list,
@@ -336,43 +336,67 @@ def test_export_unknown_format():
         export_graph(path_graph(2), "svg")
 
 
+_GRAPHML = "{http://graphml.graphdrawing.org/xmlns}"
+
+
+def _graphml_parts(data: bytes):
+    """The declared ``{attr.name: attr.type}`` keys, ``{node: {attr.name:
+    text}}`` and edges of a GraphML export, read with ``xml.etree``."""
+    root = ET.fromstring(data)
+    keys = {k.get("id"): (k.get("attr.name"), k.get("attr.type"))
+            for k in root.iter(f"{_GRAPHML}key")}
+    nodes = {
+        int(n.get("id")): {keys[d.get("key")][0]: d.text for d in n.iter(f"{_GRAPHML}data")}
+        for n in root.iter(f"{_GRAPHML}node")
+    }
+    edges = [(int(e.get("source")), int(e.get("target"))) for e in root.iter(f"{_GRAPHML}edge")]
+    return dict(keys.values()), nodes, edges
+
+
 @given(small_graphs())
-def test_graphml_round_trip(g):
-    assert load_graphml(export_graph(g, "graphml")) == g.with_profiles({})
+def test_graphml_lists_every_node_and_edge(g):
+    keys, nodes, edges = _graphml_parts(export_graph(g, "graphml"))
+    assert keys == {}
+    assert list(nodes) == list(g.nodes) and all(v == {} for v in nodes.values())
+    assert edges == g.edges()
 
 
 def test_graphml_carries_attributes():
     g = SocialGraph(range(3), [(0, 1)], {0: Profile(node=0, is_manager=True,
                                                     is_org_member=True)})
-    data = export_graph(g, "graphml", communities={0: "A", 1: "A", 2: "B"}).decode()
-    assert "community" in data and ">A<" in data and ">B<" in data
-    assert "is_manager" in data
-    back = load_graphml(data.encode())
-    assert back.profile(0).is_manager is True
+    data = export_graph(g, "graphml", communities={0: "A", 1: "A", 2: "B"})
+    _, nodes, _ = _graphml_parts(data)
+    assert nodes == {
+        0: {"is_org_member": "true", "is_manager": "true", "community": "A"},
+        1: {"community": "A"},
+        2: {"community": "B"},
+    }
 
 
-def test_graphml_round_trips_every_profile_field_and_ignores_other_attributes():
+def test_graphml_writes_every_profile_field_and_the_community():
     profiles = {
         0: Profile(node=0, name="ann", employers=("acme", "globex"), position="vp",
                    location="HQ", is_org_member=True, is_manager=True,
                    discloses_position=True),
-        1: Profile(node=1, is_org_member=False),
+        1: Profile(node=1, is_org_member=False, is_manager=False),
         2: Profile(node=2, employers=("a \"quoted\" firm",)),
     }
     g = SocialGraph(range(4), [(0, 1), (2, 3)], profiles)
-    data = export_graph(g, "graphml", communities={0: 5})
-    assert load_graphml(data) == g
-    # a foreign key (and one named like the node id) is read past, not applied
-    foreign = data.decode().replace(
-        "<node id=\"1\">",
-        "<node id=\"1\"><data key=\"dx\">9</data><data key=\"dn\">7</data>",
-    ).replace(
-        "<graph ",
-        "<key id=\"dx\" for=\"node\" attr.name=\"weight\" attr.type=\"string\" />"
-        "<key id=\"dn\" for=\"node\" attr.name=\"node\" attr.type=\"string\" /><graph ",
-    )
-    assert foreign.count('"dx"') == foreign.count('"dn"') == 2
-    assert load_graphml(foreign.encode()) == g
+    keys, nodes, edges = _graphml_parts(export_graph(g, "graphml", communities={0: 5}))
+    assert keys == {
+        "name": "string", "employers": "string", "position": "string", "location": "string",
+        "is_org_member": "boolean", "is_manager": "boolean", "discloses_position": "boolean",
+        "community": "string",
+    }
+    assert nodes == {
+        0: {"name": "ann", "employers": '["acme", "globex"]', "position": "vp",
+            "location": "HQ", "is_org_member": "true", "is_manager": "true",
+            "discloses_position": "true", "community": "5"},
+        1: {"is_org_member": "false", "is_manager": "false"},
+        2: {"employers": '["a \\"quoted\\" firm"]'},
+        3: {},
+    }
+    assert edges == [(0, 1), (2, 3)]
 
 
 def test_dot_and_csv_mention_communities():

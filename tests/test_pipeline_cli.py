@@ -30,7 +30,7 @@ from orgminer import (
     verify_manifest,
 )
 
-from orgminer.utils import derive_seed, stable_json
+from orgminer.utils import content_hash, derive_seed, stable_json
 
 from conftest import org_members, two_community_spec, write_half_then_fail
 from test_community import MALFORMED_RULES
@@ -493,6 +493,21 @@ def test_cli_crawl_resume_matches_uninterrupted_run(world_files, tmp_path, capsy
     assert "crawl: fetched" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("data", [b"\xff{}\n", b'{"format_version": 1, "fingerp'],
+                         ids=["not-utf8", "truncated"])
+def test_cli_crawl_resume_names_the_line_of_a_corrupt_state(world_files, tmp_path, capsys, data):
+    state, out = tmp_path / "state.json", tmp_path / "out"
+    state.write_bytes(data)
+    rc = cli.main(["crawl", "--edges", str(world_files["edges"]),
+                   "--profiles", str(world_files["profiles"]), "--keywords", "acme corp",
+                   "--seeds", str(world_files["members"][0]), "--resume", str(state),
+                   "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {state}:1: ")
+    assert not out.exists()
+
+
 def test_cli_crawl_fifo_strategy_runs(world_files, tmp_path):
     members = world_files["members"]
     rc = cli.main(
@@ -803,6 +818,60 @@ def test_cli_report_fails_on_tampering(pipeline_run, tmp_path, capsys):
     rc = cli.main(["report", "--dir", str(run)])
     assert rc == 1
     assert "manifest problem: communities.csv: hash mismatch" in capsys.readouterr().err
+
+
+_BAD_ARTIFACTS = "manifest.json: artifacts must map file names to hashes"
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda m: [m], "manifest.json: not an object"),
+    (lambda m: {**m, "artifacts": sorted(m["artifacts"])}, _BAD_ARTIFACTS),
+    (lambda m: {**m, "artifacts": {**m["artifacts"], "report.txt": 7}}, _BAD_ARTIFACTS),
+], ids=["list", "artifact-list", "non-string-hash"])
+def test_cli_report_names_a_malformed_manifest(pipeline_run, tmp_path, capsys, edit, problem):
+    _, result = pipeline_run
+    run = _copy_run(result, tmp_path)
+    manifest = json.loads((run / "manifest.json").read_text())
+    (run / "manifest.json").write_text(json.dumps(edit(manifest)))
+    assert cli.main(["report", "--dir", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"manifest problem: {problem}"]
+
+
+@pytest.mark.parametrize("name", ["absolute", "../outside.txt", ".."])
+def test_cli_report_hashes_no_file_outside_the_run(pipeline_run, tmp_path, capsys, name):
+    _, result = pipeline_run
+    run = _copy_run(result, tmp_path)
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"outside the run\n")
+    name = str(outside) if name == "absolute" else name
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["artifacts"][name] = content_hash(outside.read_bytes())
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["report", "--dir", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"manifest problem: {name}: not a file name in the run directory"
+    ]
+
+
+def test_cli_report_names_the_line_of_a_manifest_that_is_not_utf8(pipeline_run, tmp_path, capsys):
+    _, result = pipeline_run
+    run = _copy_run(result, tmp_path)
+    (run / "manifest.json").write_bytes(b'{"artifacts": "\xff"}\n')
+    assert cli.main(["report", "--dir", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"manifest problem: manifest.json unreadable: {run / 'manifest.json'}:1: "
+        "not UTF-8: invalid start byte at column 16"
+    ]
+
+
+def test_cli_report_names_the_line_of_a_report_that_is_not_utf8(pipeline_run, tmp_path, capsys):
+    _, result = pipeline_run
+    run = _copy_run(result, tmp_path)
+    (run / "report.txt").write_bytes(b"run summary\n\xff\n")
+    assert cli.main(["report", "--dir", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {run / 'report.txt'}:2: not UTF-8: invalid start byte at column 1"
+    ]
 
 
 def test_cli_export_anonymized_with_communities(world_files, tmp_path):
