@@ -34,7 +34,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import chain
@@ -554,11 +553,12 @@ def _run(
     if v2 and window_stop_ready() and entries:
         stop_reason = "window-stop"
 
-    executor = (
-        ThreadPoolExecutor(max_workers=cfg.concurrency_width)
-        if cfg.concurrency_width > 1
-        else None
-    )
+    executor = None
+    if cfg.concurrency_width > 1:
+        # on first use: the pool module loads logging, and width 1 never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=cfg.concurrency_width)
     fetch = partial(_fetch_one, src)
     try:
         while stop_reason is None:

@@ -29,14 +29,12 @@ import copy
 import csv
 import io
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from pathlib import Path
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .utils import sorted_unique, utf8_error
 
@@ -133,7 +131,13 @@ class SocialGraph:
             raise GraphError(f"edge ({u}, {v}) references an unknown node")
         # Both orientations as keys row * n + col: one sort orders the rows
         # and their neighbours, and drops duplicate edges in either orientation.
-        n, (pu, pv) = len(ids), ids.searchsorted(pairs).T
+        n = len(ids)
+        if n and int(ids[-1]) - int(ids[0]) == n - 1:
+            # a contiguous id range, as in every generated world: a node's
+            # position is its offset, with no binary search per endpoint
+            pu, pv = (pairs - ids[0]).T
+        else:
+            pu, pv = ids.searchsorted(pairs).T
         keys = sorted_unique(np.concatenate((pu * n + pv, pv * n + pu)))
         indptr, indices = keys.searchsorted(np.arange(n + 1) * n), keys % n
         for a in (ids, indptr, indices):
@@ -199,6 +203,8 @@ class SocialGraph:
         """CSR adjacency in ascending-node-id order (cached), on the graph's
         own read-only arrays."""
         if self._matrix is None:
+            import scipy.sparse as sp  # on first use: a crawl never builds a matrix
+
             n = len(self._nodes)
             data = np.ones(len(self._indices), dtype=np.float64)
             self._matrix = sp.csr_array((data, self._indices, self._indptr), shape=(n, n))
@@ -636,6 +642,8 @@ def _graphml_text(value) -> str:
 
 
 def _graphml_bytes(g: SocialGraph, communities) -> bytes:
+    import xml.etree.ElementTree as ET  # on first use: only this writer needs it
+
     ET.register_namespace("", _GRAPHML_NS)
     root = ET.Element(f"{{{_GRAPHML_NS}}}graphml")
     used: dict[str, str] = {}

@@ -353,9 +353,9 @@ def _neighbour_sets(u: np.ndarray, v: np.ndarray, nodes: list[int]) -> dict[int,
 def generate_world(spec: WorldSpec) -> World:
     """Materialize a world from its spec. Same spec + seed => same world.
 
-    Edges are sampled as index arrays. The profile loop stays scalar: it
-    interleaves integer and float draws on the one stream. Cyclic GC is
-    paused throughout, as the build makes only acyclic containers.
+    Edges are sampled as index arrays, and profiles by ``_draw_profiles``.
+    Cyclic GC is paused throughout, as the build makes only acyclic
+    containers.
     """
     with gc_paused():
         rng = np.random.default_rng(spec.rng_seed)
@@ -470,48 +470,9 @@ def generate_world(spec: WorldSpec) -> World:
                 location=org.location_labels[local_index % len(org.location_labels)],
             )
 
-        # Profiles, drawn in ascending node order for determinism.
-        locations: dict[int, str] = {}
-        disclosure: dict[int, bool] = {}
-        profiles: dict[int, Profile] = {}
-        for v in ids:
-            oi = node_org[v]
-            if oi is None:
-                employer = _BACKGROUND_EMPLOYERS[
-                    int(rng.integers(0, len(_BACKGROUND_EMPLOYERS)))
-                ]
-                profiles[v] = Profile(
-                    node=v,
-                    name=f"user {v}",
-                    employers=(employer,),
-                    is_org_member=False,
-                    is_manager=False,
-                )
-                continue
-            org = spec.orgs[oi]
-            info = community_info[node_community[v]]  # type: ignore[index]
-            keyword = org.name_keywords[int(rng.integers(0, len(org.name_keywords)))]
-            employer = keyword if rng.random() < 0.8 else f"works at {keyword}"
-            if v in managers:
-                position = MANAGEMENT_POSITIONS[
-                    int(rng.integers(0, len(MANAGEMENT_POSITIONS)))
-                ]
-            else:
-                pool = CATEGORY_POSITIONS[info.category]
-                position = pool[int(rng.integers(0, len(pool)))]
-            discloses = bool(rng.random() < org.position_disclosure_rate)
-            locations[v] = info.location
-            disclosure[v] = discloses
-            profiles[v] = Profile(
-                node=v,
-                name=f"user {v}",
-                employers=(employer,),
-                position=position if discloses else None,
-                location=info.location if discloses else None,
-                is_org_member=True,
-                is_manager=v in managers,
-                discloses_position=discloses,
-            )
+        profiles, locations, disclosure = _draw_profiles(
+            rng, spec, node_org, node_community, community_info, managers
+        )
 
         keys = sorted_unique(np.minimum(eu, ev) * n + np.maximum(eu, ev))
         lo, hi = keys // n, keys % n
@@ -530,12 +491,75 @@ def generate_world(spec: WorldSpec) -> World:
         return World(spec, graph, truth, InMemorySource(graph, fingerprint))
 
 
+def _draw_profiles(
+    rng: np.random.Generator,
+    spec: WorldSpec,
+    node_org: dict[int, int | None],
+    node_community: dict[int, int | None],
+    community_info: dict[int, CommunityInfo],
+    managers: set[int],
+) -> tuple[dict[int, Profile], dict[int, str], dict[int, bool]]:
+    """Every node's profile in ascending node order, and each member's
+    location and disclosure flag.
+
+    A member's draws interleave integers and floats on the one stream, so
+    they stay scalar. Each run of background nodes between two members
+    takes its employers from one array draw: below 2**32, numpy's bounded
+    int64 draw uses one 32-bit output per value in array and scalar form
+    alike, so the run gets the values that one draw per node would give.
+    """
+    ids = list(node_org)  # ascending: the world's shared node-id objects
+    members = [v for v in ids if node_org[v] is not None]
+    locations: dict[int, str] = {}
+    disclosure: dict[int, bool] = {}
+    profiles: dict[int, Profile] = {}
+    start = 0
+    for v in [*members, len(ids)]:  # the end of the ids closes the last run
+        if v > start:
+            picks = rng.integers(0, len(_BACKGROUND_EMPLOYERS), size=v - start).tolist()
+            for u, k in zip(ids[start:v], picks):
+                profiles[u] = Profile(
+                    node=u,
+                    name=f"user {u}",
+                    employers=(_BACKGROUND_EMPLOYERS[k],),
+                    is_org_member=False,
+                    is_manager=False,
+                )
+        if v == len(ids):
+            break
+        start = v + 1
+        org = spec.orgs[node_org[v]]  # type: ignore[index]
+        info = community_info[node_community[v]]  # type: ignore[index]
+        keyword = org.name_keywords[int(rng.integers(0, len(org.name_keywords)))]
+        employer = keyword if rng.random() < 0.8 else f"works at {keyword}"
+        if v in managers:
+            position = MANAGEMENT_POSITIONS[int(rng.integers(0, len(MANAGEMENT_POSITIONS)))]
+        else:
+            pool = CATEGORY_POSITIONS[info.category]
+            position = pool[int(rng.integers(0, len(pool)))]
+        discloses = bool(rng.random() < org.position_disclosure_rate)
+        locations[v] = info.location
+        disclosure[v] = discloses
+        profiles[v] = Profile(
+            node=v,
+            name=f"user {v}",
+            employers=(employer,),
+            position=position if discloses else None,
+            location=info.location if discloses else None,
+            is_org_member=True,
+            is_manager=v in managers,
+            discloses_position=discloses,
+        )
+    return profiles, locations, disclosure
+
+
 def _world_fingerprint(spec: WorldSpec, n: int, lo: np.ndarray, hi: np.ndarray) -> str:
     """Short digest of the spec and the sorted edge list ``lo[i]``–``hi[i]``."""
     h = hashlib.sha256()
     h.update(stable_json(spec.to_dict()).encode("utf-8"))
     h.update(f"|n={n}|m={len(lo)}".encode("utf-8"))
-    h.update("".join(map("{},{};".format, lo.tolist(), hi.tolist())).encode("utf-8"))
+    pairs = np.column_stack((lo, hi)).ravel().tolist()
+    h.update((("%d,%d;" * len(lo)) % tuple(pairs)).encode("utf-8"))
     return h.hexdigest()[:16]
 
 

@@ -65,7 +65,9 @@ def read_json(source: str | Path | bytes, error: type[Exception]):
         line, message = utf8_error(data, exc)
         raise error(f"{name}:{line}: {message}") from None
     except json.JSONDecodeError as exc:
-        raise error(f"{name}:{exc.lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
+        # some messages end in "at" already ("Unterminated string starting at")
+        at = "" if exc.msg.endswith(" at") else " at"
+        raise error(f"{name}:{exc.lineno}: bad JSON: {exc.msg}{at} column {exc.colno}") from None
 
 
 def decode_dataclass(cls, data, error: type[Exception], what: str):

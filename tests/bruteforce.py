@@ -6,20 +6,29 @@ paths with exact rational counts, load simulates one packet per ordered
 pair, the spectral scores come from a dense eigendecomposition rather
 than an iteration, pagerank from a dense power method (or a linear
 solve), communicability from a truncated Taylor series, and the best
-modularity partition from exhaustive set-partition search.
+modularity partition from exhaustive set-partition search. The world
+generator's profile loop and fingerprint are kept here in their first,
+one-draw-per-node and one-format-per-edge form.
 
 Intended for small graphs (tens of nodes) inside tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from orgminer.graph import SocialGraph
+from orgminer.graph import Profile, SocialGraph
+from orgminer.synthworld import (
+    _BACKGROUND_EMPLOYERS,
+    CATEGORY_POSITIONS,
+    MANAGEMENT_POSITIONS,
+)
+from orgminer.utils import stable_json
 
 
 def _adjacency_dict(g: SocialGraph) -> dict[int, tuple[int, ...]]:
@@ -320,3 +329,60 @@ def auc_trapezoid(scores: Iterable[float], labels: Iterable[int]) -> float:
         fpr.append(fp / negatives)
         i = j
     return float(np.trapezoid(tpr, fpr))
+
+
+# -- world generation --------------------------------------------------------
+
+
+def scalar_profiles(rng, spec, node_org, node_community, community_info, managers):
+    """``synthworld._draw_profiles`` one node at a time, in ascending node
+    order: one scalar draw per background employer, interleaved with the
+    members' draws."""
+    locations: dict[int, str] = {}
+    disclosure: dict[int, bool] = {}
+    profiles: dict[int, Profile] = {}
+    for v in node_org:
+        oi = node_org[v]
+        if oi is None:
+            employer = _BACKGROUND_EMPLOYERS[int(rng.integers(0, len(_BACKGROUND_EMPLOYERS)))]
+            profiles[v] = Profile(
+                node=v,
+                name=f"user {v}",
+                employers=(employer,),
+                is_org_member=False,
+                is_manager=False,
+            )
+            continue
+        org = spec.orgs[oi]
+        info = community_info[node_community[v]]
+        keyword = org.name_keywords[int(rng.integers(0, len(org.name_keywords)))]
+        employer = keyword if rng.random() < 0.8 else f"works at {keyword}"
+        if v in managers:
+            position = MANAGEMENT_POSITIONS[int(rng.integers(0, len(MANAGEMENT_POSITIONS)))]
+        else:
+            pool = CATEGORY_POSITIONS[info.category]
+            position = pool[int(rng.integers(0, len(pool)))]
+        discloses = bool(rng.random() < org.position_disclosure_rate)
+        locations[v] = info.location
+        disclosure[v] = discloses
+        profiles[v] = Profile(
+            node=v,
+            name=f"user {v}",
+            employers=(employer,),
+            position=position if discloses else None,
+            location=info.location if discloses else None,
+            is_org_member=True,
+            is_manager=v in managers,
+            discloses_position=discloses,
+        )
+    return profiles, locations, disclosure
+
+
+def scalar_fingerprint(spec, n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """``synthworld._world_fingerprint`` with one ``str.format`` per edge."""
+    h = hashlib.sha256()
+    h.update(stable_json(spec.to_dict()).encode("utf-8"))
+    edges = list(edges)
+    h.update(f"|n={n}|m={len(edges)}".encode("utf-8"))
+    h.update("".join("{},{};".format(u, v) for u, v in edges).encode("utf-8"))
+    return h.hexdigest()[:16]

@@ -51,6 +51,25 @@ def test_construct_accepts_negative_ids():
     assert g.edges() == [(-(2**63), 2**63 - 1), (-3, 0)]
 
 
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=30,
+    ).map(lambda edges: (n, edges))),
+    st.integers(-(2**62), 2**62),
+    st.booleans(),
+)
+def test_rows_match_a_per_node_reference_on_contiguous_and_gapped_ids(graph, offset, gap):
+    # contiguous ids take positions by offset, gapped ones by binary search
+    n, edges = graph
+    label = [offset + i + (gap and i > 0) for i in range(n)]
+    g = SocialGraph(label[::-1], [(label[u], label[v]) for u, v in edges])
+    assert g.nodes == tuple(label)
+    for i, v in enumerate(label):
+        friends = {label[b] for a, b in edges if a == i} | {label[a] for a, b in edges if b == i}
+        assert g.sorted_neighbors(v) == tuple(sorted(friends))
+
+
 def test_construct_names_an_id_that_does_not_fit_int64():
     with pytest.raises(GraphError, match=f"node id {2**63} does not fit in int64"):
         SocialGraph([0, 2**63], [])

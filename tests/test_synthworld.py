@@ -1,10 +1,13 @@
+import copy
 import hashlib
 import json
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orgminer import (
     CrawlConfig,
@@ -18,9 +21,11 @@ from orgminer import (
     resume,
     save_state,
 )
+from orgminer import synthworld
 from orgminer.pipeline import world_artifacts
 from orgminer.utils import derive_seed
 
+import bruteforce
 from conftest import crawl_world_spec, org_members, two_community_spec
 
 
@@ -92,6 +97,104 @@ def test_world_bytes_are_pinned(name):
         h.update(artifact.encode() + b"\0" + data)
     h.update(world.fingerprint.encode())
     assert h.hexdigest() == expected
+
+
+# -- the scalar reference ------------------------------------------------------
+
+
+def _check_against_scalar_reference(spec: WorldSpec) -> list[int]:
+    """Generate the world, rerun its profile loop one draw per node from the
+    same stream state (``bruteforce.scalar_profiles``), and require the
+    same profiles, truth tables and fingerprint. Returns the member ids."""
+    calls = []
+    draw = synthworld._draw_profiles
+
+    def spy(rng, *args):
+        calls.append((copy.deepcopy(rng.bit_generator.state), args))
+        return draw(rng, *args)
+
+    with mock.patch.object(synthworld, "_draw_profiles", spy):
+        world = generate_world(spec)
+    [(state, args)] = calls
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    profiles, locations, disclosure = bruteforce.scalar_profiles(rng, *args)
+    assert list(world.graph.profiles.items()) == list(profiles.items())
+    assert list(world.truth.locations.items()) == list(locations.items())
+    assert list(world.truth.disclosure.items()) == list(disclosure.items())
+    n = spec.total_population
+    assert world.fingerprint == bruteforce.scalar_fingerprint(spec, n, world.graph.edges())
+    return [v for v in range(n) if world.truth.node_org[v] is not None]
+
+
+REFERENCE_SPECS = {
+    # members at 0, 2, 9, 10 and 11: a member first and last, and adjacent ones
+    "members-at-both-ends": WorldSpec(
+        12, (OrgSpec(("acme", "acme corp"), size=5, manager_fraction=0.4,
+                     position_disclosure_rate=0.5),),
+        background_edge_prob=0.2, cross_boundary_edge_prob=0.1, rng_seed=2),
+    "no-background": WorldSpec(
+        8, (OrgSpec(("acme",), size=8, community_count=2, manager_fraction=0.25,
+                    intra_community_edge_prob=0.5, position_disclosure_rate=0.5),),
+        rng_seed=4),
+    # two orgs; members at 1, 7, 10, 11, 12, 16 and 18, so background first and last
+    "two-orgs": WorldSpec(20, (
+        OrgSpec(("acme",), size=4, community_count=2, intra_community_edge_prob=0.6),
+        OrgSpec(("globex", "globex inc", "gx"), size=3, manager_fraction=0.34,
+                manager_degree_boost=2.0, intra_community_edge_prob=0.5),
+    ), background_edge_prob=0.1, cross_boundary_edge_prob=0.1, rng_seed=1),
+    "crawl-shaped": crawl_world_spec(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_profiles_match_the_scalar_reference(name):
+    _check_against_scalar_reference(REFERENCE_SPECS[name])
+
+
+def test_reference_specs_cover_the_run_boundaries():
+    cases = {}
+    for name, spec in REFERENCE_SPECS.items():
+        n = spec.total_population
+        members = _check_against_scalar_reference(spec)
+        cases[name] = {
+            "member first": members[0] == 0 and len(members) < n,
+            "member last": members[-1] == n - 1 and len(members) < n,
+            "adjacent members": any(b - a == 1 for a, b in zip(members, members[1:])),
+            "background first and last": members[0] > 0 and members[-1] < n - 1,
+            "no background": len(members) == n,
+            "two orgs": len(spec.orgs) == 2,
+        }
+    for case in next(iter(cases.values())):
+        assert any(flags[case] for flags in cases.values()), case
+
+
+@st.composite
+def _small_specs(draw):
+    n = draw(st.integers(1, 30))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    total = sum(sizes)
+    n = max(n, total)
+    orgs = tuple(
+        OrgSpec(
+            name_keywords=tuple(f"org{i} name{k}" for k in range(draw(st.integers(1, 3)))),
+            size=size,
+            community_count=draw(st.integers(1, size)),
+            intra_community_edge_prob=0.5,
+            manager_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            position_disclosure_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            location_labels=("east", "west"),
+        )
+        for i, size in enumerate(sizes)
+    )
+    return WorldSpec(n, orgs, background_edge_prob=0.2, cross_boundary_edge_prob=0.2,
+                     rng_seed=draw(st.integers(0, 2**32)))
+
+
+@given(_small_specs())
+@settings(max_examples=80, deadline=None)
+def test_random_worlds_match_the_scalar_reference(spec):
+    _check_against_scalar_reference(spec)
 
 
 # -- spec validation ----------------------------------------------------------

@@ -30,6 +30,17 @@ def test_read_json_names_a_file_that_is_not_utf8(tmp_path):
     assert str(info.value) == f"{path}:2: not UTF-8: invalid start byte at column 12"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"orgs": "x', "Unterminated string starting at column 10"),
+    ('{"orgs": "a\tb"}', "Invalid control character at column 12"),
+    ('{"orgs": }', "Expecting value at column 10"),
+])
+def test_read_json_says_at_once_before_the_column(text, message):
+    with pytest.raises(_SpecError) as info:
+        read_json(text.encode("utf-8"), _SpecError)
+    assert str(info.value) == f"<bytes>:1: bad JSON: {message}"
+
+
 def test_derive_seed_deterministic_and_stage_sensitive():
     assert derive_seed(42, "world") == derive_seed(42, "world")
     assert derive_seed(42, "world") != derive_seed(42, "crawl-seeds")
