@@ -9,14 +9,15 @@ conventions:
   over v's r-node reachable set; isolated nodes score 0.
 * ``bc``  shortest-path betweenness via per-source dependency
   accumulation, normalized by (n-1)(n-2)/2; endpoints excluded.
-* ``hits`` mutual-reinforcement fixed point. On an undirected graph the
-  update degenerates so authority equals hub; both are the dominant
-  (Perron) direction of the adjacency. The iteration carries an identity
-  shift so bipartite graphs converge instead of oscillating.
+* ``hits`` the HITS authority score. On an undirected graph authority
+  equals hub, and both are the dominant (Perron) adjacency eigenvector,
+  so the column is the ``ec`` vector, bit for bit, and fails as ``ec``
+  does.
 * ``pr``  damped random walk (damping 0.85); dangling mass spreads
   uniformly; scores sum to one.
 * ``ec``  dominant adjacency eigenvector, nonnegative, unit Euclidean
-  norm, power iteration from all-ones (same identity shift).
+  norm, power iteration from all-ones. The iteration carries an identity
+  shift so bipartite graphs converge instead of oscillating.
 * ``cc``  communicability (subgraph) centrality diag(expm(A)) via dense
   symmetric eigendecomposition within a fixed memory budget (n <= 7327),
   Lanczos quadrature above it. A score past the float64 range (largest
@@ -39,7 +40,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import GraphError, GraphParseError, SocialGraph, parse_node_id, read_table, table_bytes
 
@@ -206,28 +206,9 @@ def _eigenvector_vector(
     raise ConvergenceError(f"eigenvector centrality did not converge in {max_iter} iterations")
 
 
-def _hits_vectors(
-    g: SocialGraph, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Authority and hub vectors from the mutual-reinforcement update; on an
-    undirected graph both converge to the Perron direction of the adjacency."""
-    n = g.num_nodes
-    A = g.adjacency_matrix()
-    authority = np.full(n, 1.0 / np.sqrt(n))
-    hub = authority.copy()
-    for iteration in range(1, max_iter + 1):
-        a_new = A @ hub + hub
-        a_new /= np.linalg.norm(a_new)
-        h_new = A @ a_new + a_new
-        h_new /= np.linalg.norm(h_new)
-        done = (
-            float(np.max(np.abs(a_new - authority))) < tol
-            and float(np.max(np.abs(h_new - hub))) < tol
-        )
-        authority, hub = a_new, h_new
-        if done:
-            return authority, hub, iteration
-    raise ConvergenceError(f"hits did not converge in {max_iter} iterations")
+# HITS on an undirected graph is ec. The name stays because perfbench/layers.py
+# times hits at it; an alias, not a call, so a traced run counts ec's solve once.
+_hits_vectors = _eigenvector_vector
 
 
 def communicability_centrality(g: SocialGraph) -> np.ndarray:
@@ -254,7 +235,7 @@ def communicability_centrality(g: SocialGraph) -> np.ndarray:
     return x
 
 
-def _lanczos_communicability(A: sp.csr_array) -> np.ndarray:
+def _lanczos_communicability(A: "scipy.sparse.csr_array") -> np.ndarray:
     """e_i' expm(A) e_i by Lanczos from e_i, one column per node and
     ``_BLOCK`` columns at a time. After k steps the estimate is
     e_1' expm(T_k) e_1, from one ``eigh`` of the live columns' stacked k x k
@@ -306,11 +287,10 @@ class CentralityTable:
 
     ``values`` is one float64 array of shape n x len(MEASURES): row i holds
     ``nodes[i]`` and column j holds ``MEASURES[j]``. Only the columns named
-    in ``measures`` hold scores; a measure that failed (no edges for ``ec``,
-    a solver out of iterations, Lanczos out of steps, communicability past
-    the float64 range) is a ``failures`` entry and its column is NaN filler.
-    The ``hits`` column is the authority vector; ``hub`` is the hub vector in
-    row order, or None. ``iterations`` holds each iterative solver's
+    in ``measures`` hold scores; a measure that failed (no edges for ``ec``
+    and ``hits``, a solver out of iterations, Lanczos out of steps,
+    communicability past the float64 range) is a ``failures`` entry and its
+    column is NaN filler. ``iterations`` holds each iterative solver's
     iteration count. ``scores`` gives dicts keyed by node, built from the
     array on each access.
     """
@@ -318,7 +298,6 @@ class CentralityTable:
     nodes: tuple[int, ...]
     values: np.ndarray
     measures: tuple[str, ...]
-    hub: np.ndarray | None = None
     failures: dict[str, str] = field(default_factory=dict)
     iterations: dict[str, int] = field(default_factory=dict)
 
@@ -339,9 +318,6 @@ class CentralityTable:
     def to_csv_bytes(self) -> bytes:
         columns = self.values[:, [MEASURES.index(m) for m in self.measures]]
         header = ["node", *self.measures]
-        if self.hub is not None:
-            header.append("hits_hub")
-            columns = np.column_stack((columns, self.hub))
         noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
         notes = [f"# iterations: {noted}\n"] if self.iterations else []
         notes += [f"# failed: {m}: {self.failures[m]}\n" for m in sorted(self.failures)]
@@ -352,7 +328,8 @@ class CentralityTable:
     def from_csv_bytes(cls, source: str | Path | bytes) -> "CentralityTable":
         """Read a table that ``to_csv_bytes`` wrote, from a path or bytes. A
         bad node id or score, or a row whose width is not the header's, is a
-        ``GraphParseError`` naming its file line."""
+        ``GraphParseError`` naming its file line. The ``hits_hub`` column of
+        tables written by older versions is read and dropped."""
         name, _, header, rows = read_table(source)
         if header[0] != "node":
             raise CentralityError("centrality table must start with a node column")
@@ -382,7 +359,6 @@ class CentralityTable:
             nodes=tuple(nodes),
             values=values,
             measures=tuple(m for m in MEASURES if m in columns),
-            hub=columns.get("hits_hub") if nodes else None,
             failures={m: "absent from table" for m in MEASURES if m not in columns},
         )
 
@@ -415,9 +391,10 @@ def centrality_table(
 ) -> CentralityTable:
     """Compute the requested measures, recording failures instead of dying.
 
-    A measure that cannot be computed (no edges for ``ec``, solver ran out
-    of iterations, Lanczos out of steps, communicability overflow) becomes
-    a ``failures`` entry; the table keeps every measure that did succeed.
+    A measure that cannot be computed (no edges for ``ec`` and ``hits``,
+    solver ran out of iterations, Lanczos out of steps, communicability
+    overflow) becomes a ``failures`` entry; the table keeps every measure
+    that did succeed.
     """
     if g.num_nodes == 0:
         raise CentralityError("centrality_table needs a non-empty graph")
@@ -427,7 +404,6 @@ def centrality_table(
         raise CentralityError(f"unknown measures requested: {sorted(unknown)}")
     values = np.full((g.num_nodes, len(MEASURES)), np.nan)
     present: list[str] = []
-    hub = None
     failures: dict[str, str] = {}
     iterations: dict[str, int] = {}
 
@@ -439,11 +415,6 @@ def centrality_table(
         else:
             present.append(measure)
 
-    def run_hits():
-        nonlocal hub
-        authority, hub, iterations["hits"] = _hits_vectors(g, cfg.tol, cfg.max_iter)
-        return authority
-
     def iterate(measure: str, solver):
         x, iterations[measure] = solver(g, cfg.tol, cfg.max_iter)
         return x
@@ -454,7 +425,7 @@ def centrality_table(
         "dg": lambda: degree_centrality(g),
         "cl": lambda: shortest_paths()[0],
         "bc": lambda: shortest_paths()[1],
-        "hits": run_hits,
+        "hits": lambda: iterate("hits", _hits_vectors),
         "pr": lambda: iterate("pr", _pagerank_vector),
         "ec": lambda: iterate("ec", _eigenvector_vector),
         "cc": lambda: communicability_centrality(g),
@@ -462,6 +433,6 @@ def centrality_table(
     }
     for measure in (m for m in MEASURES if m in measures):
         run(measure, runners[measure])
-    table = CentralityTable(g.nodes, values, tuple(present), hub, failures, iterations)
+    table = CentralityTable(g.nodes, values, tuple(present), failures, iterations)
     _validate_table(table)
     return table

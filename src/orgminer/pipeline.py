@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .centrality import CentralityConfig, centrality_table
@@ -447,6 +446,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
         artifacts |= write_artifacts(out, {"report.txt": _csv_footer(body, chash)})
 
     with _stage("manifest"):
+        import scipy  # here, not at the top: importing the CLI must not load scipy
+
         manifest = {
             "format_version": 1,
             "config_hash": chash,

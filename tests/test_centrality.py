@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orgminer import (
     CentralityConfig,
@@ -128,9 +129,44 @@ def test_pagerank_sums_to_one(g):
 def test_hits_equals_eigenvector_on_undirected():
     g = random_graph(2, 9, 0.35)
     table = centrality_table(g, CentralityConfig(tol=1e-12), measures=("hits", "ec"))
-    authority, ec = table.values[:, MEASURES.index("hits")], table.values[:, MEASURES.index("ec")]
-    assert authority == pytest.approx(table.hub, abs=1e-9)
-    assert authority == pytest.approx(ec, abs=1e-7)
+    hits, ec = table.values[:, MEASURES.index("hits")], table.values[:, MEASURES.index("ec")]
+    assert np.array_equal(hits, ec)
+    assert table.iterations["hits"] == table.iterations["ec"]
+
+
+@st.composite
+def spectral_graphs(draw):
+    """Up to three components, some isolated nodes, and edges only across
+    two sides when the graph is to be bipartite."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    component = rng.integers(0, draw(st.integers(1, 3)), size=n)
+    component[: draw(st.integers(0, n - 1))] = -1  # isolated
+    side = rng.integers(0, 2, size=n) if draw(st.booleans()) else np.arange(n)
+    u, v = np.triu_indices(n, 1)
+    keep = (component[u] == component[v]) & (component[u] >= 0) & (side[u] != side[v])
+    keep &= rng.random(u.size) < draw(st.sampled_from((0.2, 0.5, 1.0)))
+    return SocialGraph(range(n), np.column_stack((u[keep], v[keep])))
+
+
+@given(spectral_graphs())
+@example(star_graph(6))  # bipartite
+@example(SocialGraph(range(7), [(0, 1), (1, 2), (0, 2), (3, 4)]))  # isolated, disconnected
+def test_hits_column_is_the_ec_column(g):
+    table = centrality_table(g, measures=("hits", "ec"))
+    assert table.failures.get("hits") == table.failures.get("ec")
+    if "ec" in table.measures:
+        hits, ec = table.values[:, MEASURES.index("hits")], table.values[:, MEASURES.index("ec")]
+        assert np.array_equal(hits, ec)
+
+
+def test_edgeless_graph_fails_hits_as_it_fails_ec():
+    table = centrality_table(SocialGraph(range(3), []), measures=("hits", "ec"))
+    assert table.measures == ()
+    assert table.failures == {
+        "hits": "eigenvector centrality needs at least one edge",
+        "ec": "eigenvector centrality needs at least one edge",
+    }
 
 
 def test_eigenvector_converges_on_bipartite_graph():
@@ -304,7 +340,28 @@ def test_table_csv_round_trip():
     for m in table.measures:
         for v in table.nodes:
             assert back.scores[m][v] == table.scores[m][v]  # repr() is exact
-    assert back.hub.tobytes() == table.hub.tobytes()
+    assert b"hits_hub" not in table.to_csv_bytes()
+
+
+# A table as older versions wrote it, with the HITS hub vector as a ninth
+# column; the CI workflow ranks the same bytes through `orgminer rank`.
+LEGACY_TABLE = b"""\
+node,dg,cl,bc,hits,pr,ec,cc,lc,hits_hub
+0,0.3333333333333333,0.6,0.0,0.2818452000949734,0.14140849549132234,0.2818452018532794,1.6611137559132978,0.0,0.2818451993677602
+1,1.0,1.0,0.6666666666666666,0.6116284577411836,0.36673586756567456,0.6116284582882063,3.4921487880491964,0.6666666666666666,0.6116284575149419
+2,0.6666666666666666,0.75,0.0,0.5227207250839427,0.24592781847150164,0.5227207242898813,2.782980402210385,0.0,0.5227207254123566
+3,0.6666666666666666,0.75,0.0,0.5227207250839427,0.24592781847150164,0.5227207242898813,2.782980402210386,0.0,0.5227207254123566
+# iterations: ec=20 hits=11 pr=41
+"""
+
+
+def test_a_table_with_a_hub_column_loads_without_it():
+    table = CentralityTable.from_csv_bytes(LEGACY_TABLE)
+    assert table.measures == MEASURES and not table.failures
+    assert not hasattr(table, "hub")
+    rows = [line.split(",") for line in LEGACY_TABLE.decode().splitlines()[1:5]]
+    assert table.values.tolist() == [[float(c) for c in row[1:9]] for row in rows]
+    assert b"hits_hub" not in table.to_csv_bytes()
 
 
 @pytest.mark.parametrize(

@@ -630,12 +630,11 @@ def test_crawl_sized_world_graph_holds_under_half_the_set_based_memory():
 
 @dataclass
 class RefTable:
-    """The table as one dict of node -> score per measure, the hub vector as
-    a dict, and a feature matrix rebuilt column by column on each call."""
+    """The table as one dict of node -> score per measure, and a feature
+    matrix rebuilt column by column on each call."""
 
     nodes: tuple[int, ...]
     scores: dict[str, dict[int, float]]
-    hub_scores: dict[int, float] | None = None
     failures: dict[str, str] = field(default_factory=dict)
     iterations: dict[str, int] = field(default_factory=dict)
 
@@ -654,13 +653,9 @@ class RefTable:
 
     def to_csv_bytes(self) -> bytes:
         columns = list(self.measures)
-        header = ["node"] + columns + (["hits_hub"] if self.hub_scores else [])
-        lines = [",".join(header)]
+        lines = [",".join(["node"] + columns)]
         for v in self.nodes:
-            row = [str(v)] + [repr(self.scores[m][v]) for m in columns]
-            if self.hub_scores:
-                row.append(repr(self.hub_scores[v]))
-            lines.append(",".join(row))
+            lines.append(",".join([str(v)] + [repr(self.scores[m][v]) for m in columns]))
         if self.iterations:
             noted = " ".join(f"{m}={self.iterations[m]}" for m in sorted(self.iterations))
             lines.append(f"# iterations: {noted}")
@@ -672,21 +667,16 @@ class RefTable:
     def from_csv_bytes(cls, data: bytes) -> "RefTable":
         lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip() and not ln.startswith("#")]
         header = lines[0].split(",")
-        measure_cols = [h for h in header[1:] if h != "hits_hub"]
         nodes = []
-        scores: dict[str, dict[int, float]] = {m: {} for m in measure_cols}
-        hub: dict[int, float] = {}
+        scores: dict[str, dict[int, float]] = {m: {} for m in header[1:]}
         for line in lines[1:]:
             cells = line.split(",")
             v = int(cells[0])
             nodes.append(v)
             for name, cell in zip(header[1:], cells[1:]):
-                if name == "hits_hub":
-                    hub[v] = float(cell)
-                else:
-                    scores[name][v] = float(cell)
-        failures = {m: "absent from table" for m in MEASURES if m not in measure_cols}
-        return cls(tuple(nodes), scores, hub or None, failures)
+                scores[name][v] = float(cell)
+        failures = {m: "absent from table" for m in MEASURES if m not in scores}
+        return cls(tuple(nodes), scores, failures)
 
 
 def ref_rank_nodes(table: RefTable, measure: str) -> RankedList:
@@ -724,8 +714,8 @@ def ref_centrality_table(g: SocialGraph, measures, cfg=CentralityConfig()) -> Re
     table = RefTable(g.nodes, {})
 
     def solve(measure, solver):
-        *vectors, table.iterations[measure] = solver(g, cfg.tol, cfg.max_iter)
-        return [_scores(g, x) for x in vectors]
+        x, table.iterations[measure] = solver(g, cfg.tol, cfg.max_iter)
+        return _scores(g, x)
 
     def sweep(i):
         return _scores(g, ref_shortest_path_sweep(g)[i])
@@ -733,8 +723,8 @@ def ref_centrality_table(g: SocialGraph, measures, cfg=CentralityConfig()) -> Re
     solvers = {
         "dg": lambda: ref_degree(g), "cl": lambda: sweep(0), "bc": lambda: sweep(1),
         "hits": lambda: solve("hits", _hits_vectors),
-        "pr": lambda: solve("pr", _pagerank_vector)[0],
-        "ec": lambda: solve("ec", _eigenvector_vector)[0],
+        "pr": lambda: solve("pr", _pagerank_vector),
+        "ec": lambda: solve("ec", _eigenvector_vector),
         "cc": lambda: ref_communicability(g), "lc": lambda: sweep(2),
     }
     for measure in (m for m in MEASURES if m in measures):
@@ -743,10 +733,7 @@ def ref_centrality_table(g: SocialGraph, measures, cfg=CentralityConfig()) -> Re
         except CentralityError as exc:
             table.failures[measure] = str(exc)
         else:
-            if measure == "hits":
-                table.scores["hits"], table.hub_scores = result
-            else:
-                table.scores[measure] = result
+            table.scores[measure] = result
     return table
 
 
@@ -758,10 +745,6 @@ def _assert_tables_agree(table: CentralityTable, ref: RefTable) -> None:
     assert table.nodes == ref.nodes
     assert table.measures == ref.measures
     assert table.failures == ref.failures
-    if ref.hub_scores is None:
-        assert table.hub is None
-    else:
-        assert table.hub.tolist() == [ref.hub_scores[v] for v in ref.nodes]
     assert table.to_csv_bytes() == ref.to_csv_bytes()
     for measure in table.measures:
         assert _exact(rank_nodes(table, measure)) == _exact(ref_rank_nodes(ref, measure))
@@ -819,12 +802,11 @@ def tied_tables(draw):
     measures = draw(st.sets(st.sampled_from(MEASURES), min_size=1))
     pool = st.sampled_from((0.0, -0.0, 1.0, 0.5, -2.5, 5e-324))
     scores = {m: {v: draw(pool) for v in nodes} for m in measures}
-    hub = {v: draw(pool) for v in nodes} if draw(st.booleans()) else None
-    return RefTable(tuple(nodes), scores, hub)
+    return RefTable(tuple(nodes), scores)
 
 
 @given(tied_tables())
-@example(RefTable((3, 1, 2), {m: {3: 0.0, 1: -0.0, 2: 0.0} for m in MEASURES}, None))
+@example(RefTable((3, 1, 2), {m: {3: 0.0, 1: -0.0, 2: 0.0} for m in MEASURES}))
 def test_table_read_from_csv_matches_dict_reference(ref):
     data = ref.to_csv_bytes()
     _assert_tables_agree(CentralityTable.from_csv_bytes(data), RefTable.from_csv_bytes(data))

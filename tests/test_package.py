@@ -3,6 +3,7 @@ loads. The crawl path (utils, graph, synthworld, crawler) loads eagerly;
 the analysis modules load on first use."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -136,3 +137,34 @@ heavy = ({", ".join(repr(f"orgminer.{m}") for m in ANALYSIS)},
 print(sorted(m for m in heavy if m in sys.modules))
 """
     assert _run(script) == "[]"
+
+
+def test_cli_generate_crawl_and_export_load_no_scipy(tmp_path):
+    spec = {
+        "total_population": 300,
+        "orgs": [{"name_keywords": ["acme"], "size": 60, "community_count": 2,
+                  "intra_community_edge_prob": 0.3, "inter_community_edge_prob": 0.02}],
+        "background_edge_prob": 0.01, "cross_boundary_edge_prob": 0.01,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    script = f"""
+import sys
+from pathlib import Path
+from orgminer.cli import main
+from orgminer.graph import load_labels
+
+work = Path({str(tmp_path)!r})
+assert main(["generate", "--spec", str(work / "spec.json"), "--seed", "3",
+             "--out-dir", str(work / "world")]) == 0
+labels = load_labels(work / "world" / "world_labels.csv")
+seed = min(v for v, row in labels.items() if row.is_org_member)
+assert main(["crawl", "--edges", str(work / "world" / "world_edges.txt"),
+             "--profiles", str(work / "world" / "world_profiles.jsonl"), "--keywords", "acme",
+             "--seeds", str(seed), "--out-dir", str(work / "crawl")]) == 0
+for fmt in ("edge-list", "graphml"):
+    assert main(["export", "--edges", str(work / "crawl" / "crawled_edges.txt"),
+                 "--format", fmt, "--anonymize", "--out", str(work / f"export.{{fmt}}")]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = _run(script).splitlines()
+    assert out[-1] == "[]", out

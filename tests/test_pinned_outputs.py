@@ -22,6 +22,7 @@ import pytest
 from orgminer import CrawlConfig, WorldSpec, bfs_crawl, crawl, generate_world
 from orgminer.centrality import CentralityTable
 from orgminer.classifiers import make_classifier
+from orgminer.community import detect_communities, partition_table_bytes
 from orgminer.graph import load_labels
 from orgminer.leadership import build_instances
 from orgminer.pipeline import PipelineConfig, community_artifacts, run_pipeline
@@ -54,11 +55,11 @@ def crawl_spec(members: int, population: int) -> dict:
     }
 
 
-def pipeline_spec() -> dict:
+def pipeline_spec(members: int = 600, population: int = 700) -> dict:
     """The benchmark's pipeline world; ``run_pipeline`` sets its seed."""
     return {
-        "total_population": 700,
-        "orgs": [_org(600, 5, 0.1, 0.01, 0.15, ("east", "west"))],
+        "total_population": population,
+        "orgs": [_org(members, 5, 0.1, 0.01, 0.15, ("east", "west"))],
         "background_edge_prob": 0.002,
         "cross_boundary_edge_prob": 0.01,
         "rng_seed": 0,
@@ -134,6 +135,20 @@ def test_world_communities_are_pinned(seed):
     assert got == {key: h for key, h in PINNED_WORLD_COMMUNITIES.items() if key[0] == seed}
 
 
+# The member subgraph of a 1200-member pipeline world has m = 28,339 edges,
+# so every merge of two singletons gains at most 1/m < 1e-4. The other
+# pinned graphs have m < 10^4 and cannot tell such merges from larger ones.
+PINNED_DENSE_PARTITION = "9ce589036e5c7f49395d23e20dfb0efe5c693d9e6b4248ec0b3049692a0e8b0d"
+
+
+def test_dense_member_graph_partition_is_pinned():
+    world = generate_world(WorldSpec.from_dict({**pipeline_spec(1200, 1300), "rng_seed": 1}))
+    g = world.graph.subgraph(world.truth.members[0])
+    assert (g.num_nodes, g.num_edges) == (1200, 28339)
+    data = partition_table_bytes(detect_communities(g))
+    assert hashlib.sha256(data).hexdigest() == PINNED_DENSE_PARTITION
+
+
 PINNED_ARTIFACTS = (
     "world_edges.txt", "world_profiles.jsonl", "world_labels.csv",
     "crawled_edges.txt", "crawled_profiles.jsonl", "crawl_stats.json",
@@ -203,43 +218,40 @@ def test_pipeline_outputs_are_pinned(pipeline_run):
     assert got == PINNED_PIPELINES[seed]
 
 
-# Per centrality.csv column (hits_hub too): the sum, and the sum weighted by
-# the 1-based row number, which also sees values trading rows. Every value
-# is nonnegative, so a relative error of at most 1e-9 in each value keeps
-# both within relative 1e-9.
+# Per centrality.csv column: the sum, and the sum weighted by the 1-based
+# row number, which also sees values trading rows. Every value is
+# nonnegative, so a relative error of at most 1e-9 in each value keeps both
+# within relative 1e-9. The hits column is the ec column.
 PINNED_CENTRALITY = {
     1: {
         "dg": (23.442404006677794, 7160.106844741233),
         "cl": (240.6437782814162, 72437.34612500305),
         "bc": (1.5022082512102108, 463.1608892747241),
-        "hits": (23.073309636753194, 7055.463719421874),
+        "hits": (23.073309814858867, 7055.463805194009),
         "pr": (1.0, 304.6168551597136),
         "ec": (23.073309814858867, 7055.463805194009),
         "cc": (322271351335.18555, 100411692913693.66),
         "lc": (1.502208251210211, 462.60881090608075),
-        "hits_hub": (23.073309599043746, 7055.463701154033),
     },
     2: {
         "dg": (23.73956594323873, 7039.711185308852),
         "cl": (240.58810565932174, 72225.3641108001),
         "bc": (1.502426005438272, 439.2695146210573),
-        "hits": (22.996394869311054, 6837.001332246742),
+        "hits": (22.996395124618108, 6837.001430136506),
         "pr": (1.0, 297.0461323329369),
         "ec": (22.996395124618108, 6837.001430136506),
         "cc": (455594941994.45026, 133507585781360.36),
         "lc": (1.5024260054382723, 439.5340210147449),
-        "hits_hub": (22.996394831672013, 6837.001317761371),
     },
     3: {
         "dg": (23.34557595993322, 7027.070116861434),
         "cl": (239.9988613241368, 72099.26754414759),
         "bc": (1.508506373498752, 451.17989827169106),
-        "hits": (23.04852711000734, 6918.340430252346),
+        "hits": (23.048527321114143, 6918.3405468147985),
         "pr": (1.0, 300.9501902822832),
         "ec": (23.048527321114143, 6918.3405468147985),
         "cc": (296358467977.4736, 88691940467206.0),
         "lc": (1.508506373498752, 451.1052664414721),
-        "hits_hub": (23.048527088256158, 6918.340418284061),
     },
 }
 
