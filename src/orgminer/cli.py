@@ -85,11 +85,10 @@ def _cmd_generate(args) -> int:
         spec = replace(spec, rng_seed=args.seed)
     world = generate_world(spec)
     out = _out_root(args.out_dir)
-    write_artifacts(out, world_artifacts(world))
     census = disclosure_census(world)
     header = [f.name for f in fields(CensusRow)] + ["disclosing_pct"]
     rows = ([*astuple(r), format(r.disclosing_pct, ".1f")] for r in (*census.rows, census.total))
-    write_bytes_atomic(out / "census.csv", table_bytes(header, rows))
+    write_artifacts(out, {**world_artifacts(world), "census.csv": table_bytes(header, rows)})
     print(
         f"world: {world.graph.num_nodes} nodes, {world.graph.num_edges} edges "
         f"-> {out}"

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .graph import GraphError, SocialGraph, table_bytes
-from .utils import decode_dataclass, read_json
+from .utils import decode_dataclass, normalize_text, read_json
 
 
 class PartitionError(GraphError):
@@ -52,18 +52,20 @@ class _RuleTable:
 
 
 def load_role_rules(path: str | Path | None = None) -> tuple[RoleRule, ...]:
-    """Load the ordered keyword rules, from the bundled table by default. An
-    unknown or missing key, a value of the wrong JSON type, an empty table
-    or a rule without keywords is a ``RoleRuleError``."""
+    """Load the ordered keyword rules, from the bundled table by default,
+    keywords normalized by ``utils.normalize_text``. An unknown or missing
+    key, a value of the wrong JSON type, an empty table, a rule without
+    keywords or a blank keyword is a ``RoleRuleError``."""
     source = resources.files("orgminer") / "data/role_rules.json" if path is None else path
     raw = read_json(source, RoleRuleError)
     table = decode_dataclass(_RuleTable, raw, RoleRuleError, "role rule table")
-    for rule in table.rules:
-        if not rule.keywords:
-            raise RoleRuleError(f"rule {rule.category!r} has no keywords")
     if not table.rules:
         raise RoleRuleError("role rule table is empty")
-    return tuple(RoleRule(r.category, tuple(map(str.casefold, r.keywords))) for r in table.rules)
+    rules = tuple(RoleRule(r.category, tuple(map(normalize_text, r.keywords))) for r in table.rules)
+    for rule in rules:
+        if not rule.keywords or "" in rule.keywords:
+            raise RoleRuleError(f"rule {rule.category!r} has no keywords or a blank one")
+    return rules
 
 
 @functools.cache
@@ -79,7 +81,7 @@ def normalize_position(
         return None
     if rules is None:
         rules = default_role_rules()
-    folded = " ".join(text.casefold().split())
+    folded = normalize_text(text)
     for rule in rules:
         for keyword in rule.keywords:
             if keyword in folded:

@@ -44,7 +44,8 @@ import numpy as np
 
 from .graph import Profile, SocialGraph, profile_from_dict, profile_to_dict
 from .synthworld import FetchSource, UnknownProfileError
-from .utils import decode_dataclass, gc_paused, read_json, stable_json, write_bytes_atomic
+from .utils import (
+    decode_dataclass, gc_paused, normalize_text, read_json, stable_json, write_bytes_atomic)
 
 STATE_FORMAT_VERSION = 1
 
@@ -57,21 +58,17 @@ class StateError(CrawlError):
     """A crawl state file is corrupt or belongs to a different world."""
 
 
-def _normalize(text: str) -> str:
-    return " ".join(text.casefold().split())
-
-
 def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
     """A test of whether any normalized keyword is a substring of any
-    normalized text field of a profile. Normalization case-folds and
-    collapses whitespace, and ``keywords`` are normalized once.
+    normalized text field of a profile (``utils.normalize_text``), with
+    ``keywords`` normalized once.
 
     A normalized needle holds no newline, so no match spans two
     newline-joined fields. A profile is normalized only once the longest
     word of some needle occurs in its case-folded raw text: ``casefold``
     maps one character at a time and normalizing only rewrites runs of
     whitespace, so every word of a matching needle occurs there too."""
-    needles = [n for n in map(_normalize, keywords) if n]
+    needles = [n for n in map(normalize_text, keywords) if n]
     words = list(dict.fromkeys(max(n.split(" "), key=len) for n in needles))
 
     def match(profile: Profile) -> bool:
@@ -79,7 +76,7 @@ def _matcher(keywords: Sequence[str]) -> Callable[[Profile], bool]:
         raw = "\n".join(fields).casefold()
         for word in words:
             if word in raw:
-                text = "\n".join(map(_normalize, fields))
+                text = "\n".join(map(normalize_text, fields))
                 for needle in needles:
                     if needle in text:
                         return True
@@ -106,6 +103,8 @@ class CrawlConfig:
             raise CrawlError("at least one seed is required")
         if not self.keywords:
             raise CrawlError("at least one keyword is required")
+        if not all(map(normalize_text, self.keywords)):
+            raise CrawlError("a keyword must hold a non-whitespace character")
         if self.version not in ("v1", "v2"):
             raise CrawlError("version must be 'v1' or 'v2'")
         if self.window_size < 1:
@@ -390,8 +389,15 @@ class CrawlState:
             us, vs = tuple(zip(*edges)) or ((), ())
             _check_ints(us + vs, "edges", -_INT64, _INT64 - 1)
             crawled, confirmed = set(crawled), set(confirmed)
+            fetch_count = payload["fetch_count"]
             if not confirmed <= crawled:
                 raise StateError("corrupt crawl state: a confirmed node was never crawled")
+            if fetch_count != len(crawled):
+                raise StateError("corrupt crawl state: fetch_count is not the crawled count")
+            if not crawled.isdisjoint(frontier._entries):
+                raise StateError("corrupt crawl state: a frontier node was already crawled")
+            if len(window) > min(fetch_count, config.window_size):
+                raise StateError("corrupt crawl state: window exceeds fetch_count or window_size")
             pairs = array("q", chain.from_iterable(edges))
             rows = _sorted_pairs(pairs)
             if not set(us).union(vs) <= confirmed or (rows[:, 0] >= rows[:, 1]).any():
@@ -400,9 +406,11 @@ class CrawlState:
             if (rows[1:] == rows[:-1]).all(axis=1).any():
                 raise StateError("corrupt crawl state: an edge is listed twice")
             records = payload["profiles"]
-            profiles = [profile_from_dict(d) for d in records.values()]
-            if [str(p.node) for p in profiles] != list(records):
+            profiles = {p.node: p for p in map(profile_from_dict, records.values())}
+            if list(map(str, profiles)) != list(records):
                 raise StateError("corrupt crawl state: a profile key is not its node id")
+            if profiles.keys() != confirmed:
+                raise StateError("corrupt crawl state: profiles are not the confirmed nodes'")
             state = cls(
                 config=config,
                 strategy=strategy,
@@ -410,9 +418,9 @@ class CrawlState:
                 crawled=crawled,
                 confirmed=confirmed,
                 edges=pairs,
-                profiles={p.node: p for p in profiles},
+                profiles=profiles,
                 window=deque(window, maxlen=config.window_size),
-                fetch_count=payload["fetch_count"],
+                fetch_count=fetch_count,
                 not_found=payload["not_found"],
                 fingerprint=fingerprint,
             )

@@ -18,13 +18,15 @@ A JSON config with an unknown or missing key or a mistyped value is a
 ConfigError.  All randomness fans out from one master seed by hashing
 stage names, so a config plus a seed reproduces every byte.  Artifacts
 never embed the output directory or wall-clock time; rerunning the same
-config into a different directory yields identical files.  Text
-artifacts carry the config hash in a trailing comment, JSON ones in a
-`_config_hash` key, and the manifest records a sha256 per artifact, so
-any tampering is detectable from the manifest alone.
+config into a different directory yields identical files.  The
+manifest records a sha256 per artifact, so any tampering is detectable
+from the manifest alone.
 
 Each stage's files come from one function here, which the matching CLI
-subcommand calls without the hash: it writes the bytes of its stage.
+subcommand shares, and `write_artifacts` alone writes them.  Given the
+config hash, as every file but the manifest is here, it adds a
+`_config_hash` key to a JSON file, nothing to a .graphml or .dot file,
+and a `# config: <hash>` last line to any other; the CLI gives no hash.
 """
 
 from __future__ import annotations
@@ -78,13 +80,6 @@ from .utils import (
     stable_json,
     write_bytes_atomic,
 )
-
-_EXPORT_EXTENSIONS = {
-    "edge-list": "txt",
-    "graphml": "graphml",
-    "dot": "dot",
-    "csv": "csv",
-}
 
 
 class PipelineError(RuntimeError):
@@ -191,19 +186,6 @@ class PipelineResult:
     config_hash: str
 
 
-def _csv_footer(body: bytes, chash: str | None) -> bytes:
-    if chash is None:
-        return body
-    return body + f"# config: {chash}\n".encode("utf-8")
-
-
-def _json_payload(obj: dict, chash: str | None) -> bytes:
-    payload = dict(obj)
-    if chash is not None:
-        payload["_config_hash"] = chash
-    return (stable_json(payload) + "\n").encode("utf-8")
-
-
 # -- stage artifacts ----------------------------------------------------------------
 
 
@@ -216,55 +198,41 @@ def label_maps(
     return managers, disclosure
 
 
-def world_artifacts(world: World, chash: str | None = None) -> dict[str, bytes]:
+def world_artifacts(world: World) -> dict[str, bytes]:
     return {
-        "world_edges.txt": _csv_footer(edge_list_bytes(world.graph), chash),
-        "world_profiles.jsonl": _csv_footer(
-            profiles_to_jsonl_bytes(world.graph.profiles), chash
-        ),
-        "world_labels.csv": _csv_footer(
-            labels_to_csv_bytes(world.truth.label_rows()), chash
-        ),
+        "world_edges.txt": edge_list_bytes(world.graph),
+        "world_profiles.jsonl": profiles_to_jsonl_bytes(world.graph.profiles),
+        "world_labels.csv": labels_to_csv_bytes(world.truth.label_rows()),
     }
 
 
-def crawl_artifacts(result: CrawlResult, chash: str | None = None) -> dict[str, bytes]:
+def crawl_artifacts(result: CrawlResult) -> dict[str, bytes | dict]:
     config = result.state.config
-    stats = {
-        **result.stats.to_dict(),
-        "seeds": list(config.seeds),
-        "keywords": list(config.keywords),
-    }
+    seeds, keywords = list(config.seeds), list(config.keywords)
     return {
-        "crawled_edges.txt": _csv_footer(edge_list_bytes(result.graph), chash),
-        "crawled_profiles.jsonl": _csv_footer(
-            profiles_to_jsonl_bytes(result.graph.profiles), chash
-        ),
-        "crawl_stats.json": _json_payload(stats, chash),
+        "crawled_edges.txt": edge_list_bytes(result.graph),
+        "crawled_profiles.jsonl": profiles_to_jsonl_bytes(result.graph.profiles),
+        "crawl_stats.json": {**result.stats.to_dict(), "seeds": seeds, "keywords": keywords},
     }
 
 
 def ranking_artifacts(
-    precision: Mapping[str, Mapping[int, float]],
-    hidden: HiddenManagerReport,
-    chash: str | None = None,
+    precision: Mapping[str, Mapping[int, float]], hidden: HiddenManagerReport
 ) -> dict[str, bytes]:
     return {
-        "ranking_report.csv": _csv_footer(precision_table_bytes(precision), chash),
-        "hidden_managers.csv": _csv_footer(hidden_table_bytes(hidden), chash),
+        "ranking_report.csv": precision_table_bytes(precision),
+        "hidden_managers.csv": hidden_table_bytes(hidden),
     }
 
 
 def community_artifacts(
-    graph: SocialGraph,
-    rules: Sequence[RoleRule] | None = None,
-    chash: str | None = None,
+    graph: SocialGraph, rules: Sequence[RoleRule] | None = None
 ) -> tuple[Partition, dict[str, bytes]]:
     partition = detect_communities(graph)
     rows = community_report(infer_roles(graph, partition, rules))
     return partition, {
-        "communities.csv": _csv_footer(partition_table_bytes(partition), chash),
-        "community_report.csv": _csv_footer(report_table_bytes(rows), chash),
+        "communities.csv": partition_table_bytes(partition),
+        "community_report.csv": report_table_bytes(rows),
     }
 
 
@@ -282,12 +250,24 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def write_artifacts(out: Path, files: Mapping[str, bytes]) -> dict[str, str]:
-    """Write each file into `out`, whole or not at all; return their hashes."""
+def write_artifacts(
+    out: Path, files: Mapping[str, bytes | dict], chash: str | None = None
+) -> dict[str, str]:
+    """Write each file into `out`, whole or not at all, a dict as stable
+    JSON, stamped with `chash` as the module docstring says; return their
+    hashes."""
     out.mkdir(parents=True, exist_ok=True)
+    hashes = {}
     for name, data in files.items():
+        if isinstance(data, dict):
+            if chash is not None:
+                data = {**data, "_config_hash": chash}
+            data = (stable_json(data) + "\n").encode("utf-8")
+        elif chash is not None and not name.endswith((".graphml", ".dot")):
+            data += f"# config: {chash}\n".encode("utf-8")
         write_bytes_atomic(out / name, data)
-    return {name: content_hash(data) for name, data in files.items()}
+        hashes[name] = content_hash(data)
+    return hashes
 
 
 Echo = Callable[[str], None] | None
@@ -326,7 +306,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
             # number reproduces the entire run
             spec = replace(spec, rng_seed=stage_seeds["world"])
             world = generate_world(spec)
-            artifacts |= write_artifacts(out, world_artifacts(world, chash))
+            artifacts |= write_artifacts(out, world_artifacts(world), chash)
             rows = {r.node: r for r in world.truth.label_rows() if r.is_org_member}
             manager_labels, disclosure = label_maps(rows)
 
@@ -346,20 +326,17 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                     int(v)
                     for v in sorted(rng.choice(members, size=count, replace=False))
                 )
-            keywords = cfg.crawl.keywords
-            if not keywords:
-                keywords = world.spec.orgs[cfg.crawl.target_org].name_keywords
+            keywords = cfg.crawl.keywords or world.spec.orgs[cfg.crawl.target_org].name_keywords
             settings = {f.name: getattr(cfg.crawl, f.name) for f in fields(CrawlConfig)}
             crawl_cfg = CrawlConfig(**{**settings, "seeds": seeds, "keywords": keywords})
             result = crawl(world.fresh_source(), crawl_cfg)
-            artifacts |= write_artifacts(out, crawl_artifacts(result, chash))
+            artifacts |= write_artifacts(out, crawl_artifacts(result), chash)
             graph, crawl_stats = result.graph, result.stats.to_dict()
             del result  # the crawl state is not needed past this stage
     else:
         with _stage("import"):
             graph, rows = import_dataset(cfg.import_edges, cfg.import_labels)
-            edges = _csv_footer(edge_list_bytes(graph), chash)
-            artifacts |= write_artifacts(out, {"graph_edges.txt": edges})
+            artifacts |= write_artifacts(out, {"graph_edges.txt": edge_list_bytes(graph)}, chash)
             if rows is None:
                 _note(notices, echo, "no labels provided; skipping supervised stages")
             else:
@@ -368,8 +345,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
     with _stage("centrality"):
         config = CentralityConfig(tol=cfg.analysis.tol, max_iter=cfg.analysis.max_iter)
         table = centrality_table(graph, config)
-        table_csv = _csv_footer(table.to_csv_bytes(), chash)
-        artifacts |= write_artifacts(out, {"centrality.csv": table_csv})
+        artifacts |= write_artifacts(out, {"centrality.csv": table.to_csv_bytes()}, chash)
 
     supervised = manager_labels is not None and all(
         v in manager_labels for v in graph.nodes
@@ -391,23 +367,20 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 ks=cfg.analysis.ks,
                 hidden_k=cfg.analysis.hidden_k,
             )
-            files = ranking_artifacts(eval_report.precision, eval_report.hidden, chash)
-            cv = classifier_table_bytes(eval_report.classifier_rows)
-            files["cv_report.csv"] = _csv_footer(cv, chash)
-            artifacts |= write_artifacts(out, files)
+            files = ranking_artifacts(eval_report.precision, eval_report.hidden)
+            files["cv_report.csv"] = classifier_table_bytes(eval_report.classifier_rows)
+            artifacts |= write_artifacts(out, files, chash)
 
     with _stage("communities"):
-        partition, files = community_artifacts(graph, chash=chash)
-        artifacts |= write_artifacts(out, files)
+        partition, files = community_artifacts(graph)
+        artifacts |= write_artifacts(out, files, chash)
 
     with _stage("export"):
         anon, id_map = anonymize(graph, seed=stage_seeds["anonymize"])
         communities = {id_map[v]: c for v, c in partition.assignment.items()}
         payload = export_graph(anon, cfg.export_format, communities=communities)
-        if cfg.export_format in ("edge-list", "csv"):
-            payload = _csv_footer(payload, chash)
-        ext = _EXPORT_EXTENSIONS[cfg.export_format]
-        artifacts |= write_artifacts(out, {f"anonymized_graph.{ext}": payload})
+        ext = "txt" if cfg.export_format == "edge-list" else cfg.export_format
+        artifacts |= write_artifacts(out, {f"anonymized_graph.{ext}": payload}, chash)
 
     with _stage("report"):
         lines = ["run summary", f"config: {chash}", ""]
@@ -440,10 +413,9 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 f"(acc {best.accuracy:.2f}%, f1 {best.f1:.3f}, auc {best.auc:.3f})"
             )
         lines.append(f"communities: {len(partition)} at Q={partition.q:.4f}")
-        for msg in notices:
-            lines.append(f"notice: {msg}")
+        lines += (f"notice: {msg}" for msg in notices)
         body = ("\n".join(lines) + "\n").encode("utf-8")
-        artifacts |= write_artifacts(out, {"report.txt": _csv_footer(body, chash)})
+        artifacts |= write_artifacts(out, {"report.txt": body}, chash)
 
     with _stage("manifest"):
         import scipy  # here, not at the top: importing the CLI must not load scipy
@@ -463,8 +435,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 "orgminer": __version__,
             },
         }
-        manifest_bytes = (stable_json(manifest) + "\n").encode("utf-8")
-        artifacts |= write_artifacts(out, {"manifest.json": manifest_bytes})
+        artifacts |= write_artifacts(out, {"manifest.json": manifest})
 
     return PipelineResult(
         out_dir=out,

@@ -1,7 +1,7 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
 the position of a failed UTF-8 decode, the JSON document reader, the typed
-decoder of settings dataclasses, apportionment, a sorted unique of int
-arrays, and a cyclic-GC pause for bulk builds."""
+decoder of settings dataclasses, the keyword normalizer, apportionment, a
+sorted unique of int arrays, and a cyclic-GC pause for bulk builds."""
 
 from __future__ import annotations
 
@@ -117,6 +117,11 @@ def _has_type(value, hint) -> bool:
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     return isinstance(value, hint)
+
+
+def normalize_text(text: str) -> str:
+    """Case-fold, collapse each whitespace run to one space, and strip."""
+    return " ".join(text.casefold().split())
 
 
 class gc_paused:

@@ -273,6 +273,15 @@ def test_rules_load_from_custom_file(tmp_path):
     assert normalize_position("engineer", rules) is None
 
 
+def test_rule_keywords_are_normalized_as_positions_are(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('{"rules": [{"category": "Lead", "keywords": [" Team \\t Leader"]}]}')
+    rules = load_role_rules(path)
+    assert rules == (RoleRule("Lead", ("team leader",)),)
+    assert normalize_position("Team Leader", rules) == "Lead"
+    assert normalize_position("senior TEAM\u3000LEADER, west", rules) == "Lead"
+
+
 MALFORMED_RULES = {
     "string keywords": (
         {"rules": [{"category": "Lead", "keywords": "lead"}]},
@@ -284,6 +293,9 @@ MALFORMED_RULES = {
         {"rules": [{"category": 7, "keywords": ["lead"]}]},
         "rules[0] setting 'category' must be str, got 7"),
     "missing rules": ({"comment": "no rules"}, "missing role rule table settings: ['rules']"),
+    "blank keyword": (
+        {"rules": [{"category": "Lead", "keywords": ["lead", " \t"]}]},
+        "rule 'Lead' has no keywords or a blank one"),
 }
 
 

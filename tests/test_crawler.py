@@ -25,10 +25,10 @@ from orgminer import (
     resume,
     save_state,
 )
-from orgminer.crawler import CrawlState, Frontier, _matcher, _normalize
+from orgminer.crawler import CrawlState, Frontier, _matcher
 from orgminer.synthworld import InMemorySource
 from orgminer.graph import GraphError, SocialGraph
-from orgminer.utils import stable_json
+from orgminer.utils import normalize_text, stable_json
 
 from conftest import crawl_world_spec, org_members, write_half_then_fail
 from test_graph import MALFORMED_PROFILES
@@ -110,7 +110,7 @@ _TRICKY = st.lists(
 def test_keyword_match_equals_the_regex_reference(employers, name, position, keywords):
     p = Profile(node=0, employers=tuple(employers), name=name, position=position)
     for text in (*employers, name, position, *keywords):
-        assert _normalize(text) == ref_normalize(text)
+        assert normalize_text(text) == ref_normalize(text)
     assert _matcher(keywords)(p) == ref_keyword_match(p, keywords)
 
 
@@ -852,6 +852,27 @@ def _corrupt_profile_node(payload):
     next(iter(payload["profiles"].values()))["node"] += 1
 
 
+def _corrupt_profile_of_unconfirmed_node(payload):
+    node = max(payload["crawled"]) + 1
+    payload["profiles"][str(node)] = {**next(iter(payload["profiles"].values())), "node": node}
+
+
+def _corrupt_confirmed_node_without_profile(payload):
+    payload["profiles"].pop(next(iter(payload["profiles"])))
+
+
+def _corrupt_crawled_node_in_frontier(payload):
+    payload["frontier"]["entries"][0][0] = payload["crawled"][0]
+
+
+def _corrupt_fetch_count(payload):
+    payload["fetch_count"] += 1
+
+
+def _corrupt_window_longer_than_fetches(payload):
+    payload["window"].append(0)
+
+
 def _corrupt_int_fingerprint(payload):
     payload["fingerprint"] = 5
 
@@ -874,7 +895,9 @@ def _corrupt_list_fingerprint(payload):
     _corrupt_confirmed_never_crawled, _corrupt_edge_to_unknown_nodes, _corrupt_reversed_edge,
     _corrupt_repeated_edge,
     _corrupt_profile_key, _corrupt_profile_node, _corrupt_int_fingerprint,
-    _corrupt_list_fingerprint,
+    _corrupt_list_fingerprint, _corrupt_profile_of_unconfirmed_node,
+    _corrupt_confirmed_node_without_profile, _corrupt_crawled_node_in_frontier,
+    _corrupt_fetch_count, _corrupt_window_longer_than_fetches,
 ])
 def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     world = generate_world(crawl_world_spec(9))
@@ -1079,3 +1102,10 @@ def test_config_validation():
         CrawlConfig(seeds=[1], keywords=["a"], window_size=0)
     with pytest.raises(CrawlError):
         CrawlConfig(seeds=[1], keywords=["a"], version="v3")
+
+
+@pytest.mark.parametrize("keywords", [["  "], [""], ["acme", "\u3000\x85"]])
+def test_config_rejects_a_keyword_that_normalizes_to_nothing(keywords):
+    # such a keyword would match no profile: a crawl would confirm none of its seeds
+    with pytest.raises(CrawlError, match="non-whitespace"):
+        CrawlConfig(seeds=[1], keywords=keywords)

@@ -716,6 +716,31 @@ def test_cli_chain_writes_the_pipeline_artifacts(world_files, pipeline_run, tmp_
         assert (tmp_path / name).read_bytes() == expected, name
 
 
+@pytest.mark.parametrize("fmt", ["edge-list", "graphml", "dot", "csv"])
+def test_cli_export_writes_the_pipeline_export(pipeline_run, tmp_path, fmt):
+    """`orgminer export`, fed a run's crawl, communities and anonymize seed,
+    writes the run's export minus the config trailer; graphml and dot carry
+    none."""
+    cfg, result = pipeline_run
+    if fmt != cfg.export_format:
+        cfg = replace(cfg, out_dir=str(tmp_path / "run"), export_format=fmt)
+        result = run_pipeline(cfg)
+    run, ext = result.out_dir, "txt" if fmt == "edge-list" else fmt
+    out = tmp_path / f"export.{ext}"
+    argv = ["export", "--edges", str(run / "crawled_edges.txt"),
+            "--profiles", str(run / "crawled_profiles.jsonl"), "--format", fmt,
+            "--anonymize", "--seed", str(derive_seed(cfg.master_seed, "anonymize")),
+            "--communities", str(run / "communities.csv"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    piped = (run / f"anonymized_graph.{ext}").read_bytes()
+    if fmt in ("edge-list", "csv"):
+        trailer = f"# config: {result.config_hash}\n".encode()
+        assert piped.endswith(trailer)
+        piped = piped[: -len(trailer)]
+    assert b"# config:" not in piped
+    assert out.read_bytes() == piped
+
+
 def test_cli_communities_writes_partition_and_report(world_files, tmp_path, capsys):
     part = tmp_path / "partition.csv"
     report = tmp_path / "report.csv"
