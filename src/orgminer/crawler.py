@@ -345,10 +345,6 @@ class CrawlState:
         }
 
     @classmethod
-    def from_json_bytes(cls, data: bytes) -> "CrawlState":
-        return cls._read(data)
-
-    @classmethod
     def _read(cls, source: str | Path | bytes) -> "CrawlState":
         """The state in a file or a document's bytes; bytes that are not
         UTF-8 or JSON are a StateError naming the file and line."""

@@ -17,7 +17,8 @@ report is a pure function of (scores, labels, seed).
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -283,9 +284,16 @@ def cross_validate_all(
     kinds: Sequence[str],
     folds: int,
     seed: int,
+    submit: Callable[..., Callable[[], CrossValidationRow]] = partial,
 ) -> tuple[CrossValidationRow, ...]:
+    """One cross-validation row per kind, in order.
+    ``submit(cross_validate, kind, X, y, folds, seed)`` returns a call that
+    gives the kind's row; every kind is submitted before any row is asked
+    for, so a ``submit`` that starts a job elsewhere runs it beside the
+    rest. The default, ``functools.partial``, runs each in turn here."""
     X, y = build_instances(table, manager_labels)
-    return tuple(cross_validate(kind, X, y, folds, seed) for kind in kinds)
+    jobs = [submit(cross_validate, kind, X, y, folds, seed) for kind in kinds]
+    return tuple(job() for job in jobs)
 
 
 def evaluate(
@@ -297,9 +305,12 @@ def evaluate(
     seed: int,
     ks: Sequence[int],
     hidden_k: int,
+    submit: Callable[..., Callable[[], CrossValidationRow]] = partial,
 ) -> EvalReport:
+    """The ranking, then the cross-validation as ``cross_validate_all``
+    runs it with ``submit``."""
     precision, hidden = ranking(table, manager_labels, disclosure, ks, hidden_k)
-    rows = cross_validate_all(table, manager_labels, kinds, folds, seed)
+    rows = cross_validate_all(table, manager_labels, kinds, folds, seed, submit)
     return EvalReport(rows, precision, hidden)
 
 

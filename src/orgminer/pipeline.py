@@ -27,13 +27,22 @@ subcommand shares, and `write_artifacts` alone writes them.  Given the
 config hash, as every file but the manifest is here, it adds a
 `_config_hash` key to a JSON file, nothing to a .graphml or .dot file,
 and a `# config: <hash>` last line to any other; the CLI gives no hash.
+
+Once the graph exists its two analyses are independent, so where
+`_two_lanes` holds, community detection and then the random forest's
+cross-validation each run in a forked helper process beside the
+centrality table and the other classifiers (`_helper`). This process
+joins each job in its own stage and writes every file, so the bytes are
+those of a run in one process.
 """
 
 from __future__ import annotations
 
+import os
 import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -228,7 +237,13 @@ def ranking_artifacts(
 def community_artifacts(
     graph: SocialGraph, rules: Sequence[RoleRule] | None = None
 ) -> tuple[Partition, dict[str, bytes]]:
-    partition = detect_communities(graph)
+    return _community_files(graph, detect_communities(graph), rules)
+
+
+def _community_files(
+    graph: SocialGraph, partition: Partition, rules: Sequence[RoleRule] | None = None
+) -> tuple[Partition, dict[str, bytes]]:
+    """``community_artifacts`` for a partition detected already."""
     rows = community_report(infer_roles(graph, partition, rules))
     return partition, {
         "communities.csv": partition_table_bytes(partition),
@@ -248,6 +263,86 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
+
+
+def _two_lanes() -> bool:
+    """Whether a forked helper process can run beside this one: at least
+    two CPUs to run on, fork to start it with, and no other Python thread,
+    whose held locks the helper would inherit with no thread to free them."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    import multiprocessing  # here, not at the top: the crawl path never needs it
+    import threading
+
+    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+_held = None  # in a helper process: the job it was forked to run
+
+
+def _hold(fn, args) -> None:
+    global _held
+    _held = fn, args
+
+
+def _run_held():
+    fn, args = _held
+    return fn(*args)
+
+
+@contextmanager
+def _helper():
+    """Yield ``submit(fn, *args)``, which returns a call that gives
+    ``fn(*args)`` or raises its error.
+
+    With two lanes, each job starts at once in a forked helper process of
+    its own. A job submitted while an earlier one runs first waits for it,
+    so at most one helper runs and every fork copies a process of one
+    thread. Elsewhere, where the fork fails, and where a caller has wrapped
+    ``fn`` (``functools.wraps`` marks the wrapper with ``__wrapped__``),
+    ``fn`` runs inline when its value is asked for: a wrapper that times or
+    counts calls keeps its records in this process, and the helper's copy
+    of them would be lost. A helper that dies fails its own job, and only
+    that one, with BrokenProcessPool. Leaving the block waits for the job
+    in flight and ends its helper.
+    """
+    if not _two_lanes():
+        yield partial
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned helper would first import numpy, scipy and
+    # the analysis modules again, about 0.25 s, as long as both jobs
+    fork = multiprocessing.get_context("fork")
+    pools = []
+
+    def submit(fn, *args):
+        if hasattr(fn, "__wrapped__"):
+            return partial(fn, *args)
+        if pools:
+            pools[-1].shutdown()
+        # the job reaches the helper in fork's copy of this process, not
+        # through pickle, so any callable will do; only its value is pickled
+        pools.append(
+            ProcessPoolExecutor(1, mp_context=fork, initializer=_hold, initargs=(fn, args))
+        )
+        try:
+            return pools[-1].submit(_run_held).result
+        except OSError:  # the fork failed, so there is no helper to run it
+            return partial(fn, *args)
+
+    try:
+        yield submit
+    finally:
+        for pool in pools:
+            pool.shutdown()
+
+
+def _forest_elsewhere(submit, fn, kind, *args):
+    """``evaluate``'s submit: the random forest's cross-validation, the
+    slowest kind's by far, goes to ``submit``; every other kind runs inline."""
+    return (submit if kind == "random-forest" else partial)(fn, kind, *args)
 
 
 def write_artifacts(
@@ -342,38 +437,42 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
             else:
                 manager_labels, disclosure = label_maps(rows)
 
-    with _stage("centrality"):
-        config = CentralityConfig(tol=cfg.analysis.tol, max_iter=cfg.analysis.max_iter)
-        table = centrality_table(graph, config)
-        artifacts |= write_artifacts(out, {"centrality.csv": table.to_csv_bytes()}, chash)
+    with _helper() as submit:
+        detection = submit(detect_communities, graph)
 
-    supervised = manager_labels is not None and all(
-        v in manager_labels for v in graph.nodes
-    )
-    if manager_labels is not None and not supervised:
-        msg = "labels do not cover every analyzed node; skipping supervised stages"
-        _note(notices, echo, msg)
+        with _stage("centrality"):
+            config = CentralityConfig(tol=cfg.analysis.tol, max_iter=cfg.analysis.max_iter)
+            table = centrality_table(graph, config)
+            artifacts |= write_artifacts(out, {"centrality.csv": table.to_csv_bytes()}, chash)
 
-    eval_report = None
-    if supervised:
-        with _stage("evaluate"):
-            eval_report = evaluate(
-                table,
-                manager_labels,
-                disclosure,
-                kinds=cfg.analysis.classifiers,
-                folds=cfg.analysis.folds,
-                seed=stage_seeds["evaluate"],
-                ks=cfg.analysis.ks,
-                hidden_k=cfg.analysis.hidden_k,
-            )
-            files = ranking_artifacts(eval_report.precision, eval_report.hidden)
-            files["cv_report.csv"] = classifier_table_bytes(eval_report.classifier_rows)
+        supervised = manager_labels is not None and all(
+            v in manager_labels for v in graph.nodes
+        )
+        if manager_labels is not None and not supervised:
+            msg = "labels do not cover every analyzed node; skipping supervised stages"
+            _note(notices, echo, msg)
+
+        eval_report = None
+        if supervised:
+            with _stage("evaluate"):
+                eval_report = evaluate(
+                    table,
+                    manager_labels,
+                    disclosure,
+                    kinds=cfg.analysis.classifiers,
+                    folds=cfg.analysis.folds,
+                    seed=stage_seeds["evaluate"],
+                    ks=cfg.analysis.ks,
+                    hidden_k=cfg.analysis.hidden_k,
+                    submit=partial(_forest_elsewhere, submit),
+                )
+                files = ranking_artifacts(eval_report.precision, eval_report.hidden)
+                files["cv_report.csv"] = classifier_table_bytes(eval_report.classifier_rows)
+                artifacts |= write_artifacts(out, files, chash)
+
+        with _stage("communities"):
+            partition, files = _community_files(graph, detection())
             artifacts |= write_artifacts(out, files, chash)
-
-    with _stage("communities"):
-        partition, files = community_artifacts(graph)
-        artifacts |= write_artifacts(out, files, chash)
 
     with _stage("export"):
         anon, id_map = anonymize(graph, seed=stage_seeds["anonymize"])

@@ -444,7 +444,7 @@ def test_state_edges_hold_each_kept_edge_once_smaller_id_first(width):
     seeds = org_members(world)[:3]
     cfg = CrawlConfig(seeds=seeds, keywords=["acme"], concurrency_width=width)
     part = crawl(world.fresh_source(), replace(cfg, max_fetches=40))
-    state = CrawlState.from_json_bytes(part.state.to_json_bytes())
+    state = CrawlState._read(part.state.to_json_bytes())
     for res in (crawl(world.fresh_source(), cfg), crawl(world.fresh_source(), cfg, state)):
         edges = res.state.edges
         assert isinstance(edges, array) and edges.typecode == "q"
@@ -911,7 +911,7 @@ def test_resume_rejects_a_malformed_frontier(tmp_path, corrupt):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(StateError):  # the decode rejects it, before any fingerprint check
-        CrawlState.from_json_bytes(path.read_bytes())
+        CrawlState._read(path.read_bytes())
     with pytest.raises(StateError):
         resume(path, src)
 
@@ -984,7 +984,7 @@ def test_resume_names_the_line_of_a_state_that_is_not_json(tmp_path, bad):
     with pytest.raises(StateError, match=f"^{re.escape(f'{path}:1: {problem}')}"):
         resume(path, src)
     with pytest.raises(StateError, match=f"^<bytes>:1: {problem}"):
-        CrawlState.from_json_bytes(data)
+        CrawlState._read(data)
 
 
 @pytest.mark.parametrize("config, message", [
@@ -1061,7 +1061,7 @@ def test_state_encode_and_decode_run_no_collection():
     seeds = org_members(world)[:3]
     state = crawl(world.fresh_source(), CrawlConfig(seeds=seeds, keywords=["acme"])).state
     data, encode_runs = _collections_during(state.to_json_bytes)
-    decoded, decode_runs = _collections_during(lambda: CrawlState.from_json_bytes(data))
+    decoded, decode_runs = _collections_during(lambda: CrawlState._read(data))
     assert (encode_runs, decode_runs) == (0, 0)
     assert decoded.to_json_bytes() == data
     # the bare decode of the same bytes, unpaused, starts over ten
@@ -1080,11 +1080,11 @@ def test_gc_setting_survives_every_paused_call(enabled):
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        CrawlState.from_json_bytes(data).to_json_bytes()
+        CrawlState._read(data).to_json_bytes()
         assert gc.isenabled() is enabled
         for corrupt in (b"{ not json", json.dumps(corrupt_frontier).encode()):
             with pytest.raises(StateError):
-                CrawlState.from_json_bytes(corrupt)
+                CrawlState._read(corrupt)
             assert gc.isenabled() is enabled
         with pytest.raises(GraphError):
             SocialGraph([0, 1], [(0, 2)])

@@ -133,7 +133,7 @@ for fmt in ("edge-list", "graphml"):
     assert om.export_graph(done.graph, fmt)
 assert om.edge_list_bytes(world.graph)
 heavy = ({", ".join(repr(f"orgminer.{m}") for m in ANALYSIS)},
-         "concurrent.futures", "scipy.sparse")
+         "concurrent.futures", "multiprocessing", "scipy.sparse")
 print(sorted(m for m in heavy if m in sys.modules))
 """
     assert _run(script) == "[]"

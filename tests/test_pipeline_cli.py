@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import csv
+import errno
+import functools
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,8 +29,10 @@ from orgminer import (
     generate_world,
     import_dataset,
     labels_to_csv_bytes,
+    leadership,
     load_graph,
     load_labels,
+    pipeline,
     profiles_to_jsonl_bytes,
     run_pipeline,
     verify_manifest,
@@ -323,6 +331,205 @@ def test_pipeline_import_failure_names_the_stage(tmp_path):
     with pytest.raises(PipelineError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "import"
+
+
+# -- the helper process -----------------------------------------------------------
+
+# each stage's files, in stage order
+STAGE_FILES = {
+    "generate": {"world_edges.txt", "world_profiles.jsonl", "world_labels.csv"},
+    "crawl": {"crawled_edges.txt", "crawled_profiles.jsonl", "crawl_stats.json"},
+    "centrality": {"centrality.csv"},
+    "evaluate": {"ranking_report.csv", "hidden_managers.csv", "cv_report.csv"},
+    "communities": {"communities.csv", "community_report.csv"},
+    "export": {"anonymized_graph.txt"},
+    "report": {"report.txt"},
+    "manifest": {"manifest.json"},
+}
+# the function each analysis stage calls, as run_pipeline looks it up
+STAGE_FUNCTIONS = {
+    "centrality": "centrality_table",
+    "evaluate": "evaluate",
+    "communities": "detect_communities",
+}
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+TEST_PROCESS = os.getpid()
+_cross_validate = leadership.cross_validate
+_detect = pipeline.detect_communities
+
+
+@pytest.fixture
+def deadline():
+    """Turn a run that hangs into a failure after two minutes."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run_pipeline did not return in time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _on_lane(monkeypatch, helper: bool) -> None:
+    if helper and not HAS_FORK:
+        pytest.skip("no fork start method on this platform")
+    monkeypatch.setattr(pipeline, "_two_lanes", lambda: helper)
+
+
+def _budgeted_run(world_files, out: Path, seed: int = 7) -> PipelineConfig:
+    return PipelineConfig(
+        out_dir=str(out),
+        world_spec=str(world_files["spec"]),
+        master_seed=seed,
+        crawl=CrawlSettings(max_fetches=300),
+    )
+
+
+def _files_before(stage: str) -> set[str]:
+    stages = list(STAGE_FILES)
+    return set().union(*(STAGE_FILES[s] for s in stages[: stages.index(stage)]))
+
+
+def _injected_failure(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+def _forest_in_helper(kind, *args):
+    """cross_validate, asserting that the forest alone left this process."""
+    in_helper = os.getpid() != TEST_PROCESS
+    assert in_helper == (kind == "random-forest"), f"{kind} ran in the wrong process"
+    return _cross_validate(kind, *args)
+
+
+def _detect_in_helper(graph):
+    assert os.getpid() != TEST_PROCESS, "community detection ran in the test's process"
+    return _detect(graph)
+
+
+@functools.wraps(_cross_validate)
+def _wrapped_cross_validate(kind, *args):
+    assert os.getpid() == TEST_PROCESS, f"wrapped {kind} left this process"
+    return _cross_validate(kind, *args)
+
+
+@functools.wraps(_detect)
+def _wrapped_detect(graph):
+    assert os.getpid() == TEST_PROCESS, "wrapped detection left this process"
+    return _detect(graph)
+
+
+def _exit_in_helper(*args):
+    assert os.getpid() != TEST_PROCESS, "the offloaded job ran in the test's process"
+    os._exit(3)
+
+
+def _forest_exits_in_helper(kind, *args):
+    if kind == "random-forest":
+        _exit_in_helper()
+    return _cross_validate(kind, *args)
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "no process left to fork")
+
+
+@pytest.mark.parametrize(
+    "case", ["seed-7", "seed-8", "import-with-labels", "import-without-labels"]
+)
+def test_pipeline_writes_the_same_bytes_with_and_without_the_helper(
+    world_files, tmp_path, monkeypatch, deadline, case
+):
+    runs = {}
+    for helper in (True, False):
+        _on_lane(monkeypatch, helper)
+        out = tmp_path / f"helper-{helper}"
+        if case.startswith("import"):
+            labels = str(world_files["labels"]) if case == "import-with-labels" else None
+            cfg = PipelineConfig(
+                out_dir=str(out), import_edges=str(world_files["edges"]), import_labels=labels
+            )
+        else:
+            cfg = _budgeted_run(world_files, out, seed=int(case.split("-")[1]))
+        runs[helper] = run_pipeline(cfg)
+        assert multiprocessing.active_children() == []
+    names = set(runs[True].artifacts)
+    assert names == set(runs[False].artifacts)
+    assert ("cv_report.csv" in names) == (case != "import-without-labels")
+    assert runs[True].notices == runs[False].notices
+    for name in names:
+        a = (runs[True].out_dir / name).read_bytes()
+        b = (runs[False].out_dir / name).read_bytes()
+        assert a == b, f"{name} differs between the lanes"
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="no fork start method on this platform")
+def test_detection_and_the_forest_leave_the_process_unless_wrapped(
+    world_files, tmp_path, monkeypatch, deadline
+):
+    _on_lane(monkeypatch, True)
+    monkeypatch.setattr(leadership, "cross_validate", _forest_in_helper)
+    monkeypatch.setattr(pipeline, "detect_communities", _detect_in_helper)
+    run_pipeline(_budgeted_run(world_files, tmp_path / "plain"))
+    # a job that pickle cannot name still reaches its helper, through the fork
+    monkeypatch.setattr(leadership, "cross_validate", lambda *a: _forest_in_helper(*a))
+    monkeypatch.setattr(pipeline, "detect_communities", lambda g: _detect_in_helper(g))
+    run_pipeline(_budgeted_run(world_files, tmp_path / "lambdas"))
+    # a caller's functools.wraps wrapper, as a tracer installs, keeps the
+    # job in this process, where the wrapper records its calls
+    monkeypatch.setattr(leadership, "cross_validate", _wrapped_cross_validate)
+    monkeypatch.setattr(pipeline, "detect_communities", _wrapped_detect)
+    run_pipeline(_budgeted_run(world_files, tmp_path / "wrapped"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="no fork start method on this platform")
+def test_a_failed_fork_runs_the_jobs_inline(world_files, tmp_path, monkeypatch, deadline):
+    _on_lane(monkeypatch, False)
+    inline = run_pipeline(_budgeted_run(world_files, tmp_path / "inline"))
+    _on_lane(monkeypatch, True)
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    result = run_pipeline(_budgeted_run(world_files, tmp_path / "no-fork"))
+    assert result.artifacts == inline.artifacts
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+@pytest.mark.parametrize("stage", list(STAGE_FUNCTIONS))
+def test_analysis_stage_failure_names_the_stage_on_either_lane(
+    world_files, tmp_path, monkeypatch, deadline, stage, helper
+):
+    _on_lane(monkeypatch, helper)
+    monkeypatch.setattr(pipeline, STAGE_FUNCTIONS[stage], _injected_failure)
+    cfg = _budgeted_run(world_files, tmp_path / "out")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == stage
+    assert str(err.value) == f"stage {stage!r} failed: injected failure"
+    assert multiprocessing.active_children() == []
+    assert {p.name for p in (tmp_path / "out").iterdir()} == _files_before(stage)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="no fork start method on this platform")
+@pytest.mark.parametrize("stage", ["evaluate", "communities"])
+def test_a_helper_that_dies_fails_the_stage_of_its_job(
+    world_files, tmp_path, monkeypatch, deadline, stage
+):
+    _on_lane(monkeypatch, True)
+    if stage == "communities":
+        monkeypatch.setattr(pipeline, "detect_communities", _exit_in_helper)
+    else:
+        monkeypatch.setattr(leadership, "cross_validate", _forest_exits_in_helper)
+    cfg = _budgeted_run(world_files, tmp_path / "out")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == stage
+    assert isinstance(err.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+    # each job has a helper of its own, so a dead detection leaves the
+    # forest's row, and evaluate's files, whole
+    assert {p.name for p in (tmp_path / "out").iterdir()} == _files_before(stage)
 
 
 # -- manifest verification -------------------------------------------------------
