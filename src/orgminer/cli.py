@@ -17,12 +17,12 @@ from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from .centrality import MEASURES, CentralityConfig, CentralityTable, centrality_table
-from .community import load_role_rules
+from .community import detect_communities, load_role_rules
 from .crawler import CrawlConfig, CrawlError, bfs_crawl, crawl, resume, save_state
 from .graph import (
     EXPORT_FORMATS,
     GraphError,
-    _read_text,
+    GraphParseError,
     anonymize,
     edge_list_bytes,
     export_graph,
@@ -47,7 +47,7 @@ from .pipeline import (
     write_artifacts,
 )
 from .synthworld import CensusRow, InMemorySource, WorldSpec, disclosure_census, generate_world
-from .utils import content_hash, read_json, write_bytes_atomic
+from .utils import content_hash, read_json, read_text, write_bytes_atomic
 
 
 def _out_root(explicit: str | None) -> Path:
@@ -169,7 +169,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_communities(args) -> int:
     graph = _load_graph_args(args)
     rules = load_role_rules(args.rules) if args.rules else None
-    partition, files = community_artifacts(graph, rules)
+    partition = detect_communities(graph)
+    files = community_artifacts(graph, partition, rules)
     write_bytes_atomic(args.out_partition, files["communities.csv"])
     write_bytes_atomic(args.out_report, files["community_report.csv"])
     print(f"communities: {len(partition)} at Q={partition.q:.4f}")
@@ -180,7 +181,7 @@ def _cmd_report(args) -> int:
     out = Path(args.dir)
     report = out / "report.txt"
     if report.exists():
-        sys.stdout.write(_read_text(report)[1])
+        sys.stdout.write(read_text(report, GraphParseError)[1])
     problems = verify_manifest(out)
     if problems:
         for p in problems:
@@ -350,10 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, GraphError, CrawlError, OSError, ValueError, KeyError) as exc:
+    except (PipelineError, GraphError, CrawlError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,9 @@ minimal quoting, ``None`` as an empty cell meaning unknown, a float as its
 ``repr`` so it reads back exactly, booleans as ``true``/``false``) and
 ``read_table`` parses one, numbering file lines past ``#`` comment lines so
 that an error names the line a bad cell is on.
+
+Every parser reads through ``utils.read_text``: a byte that is not UTF-8, like
+a profiles line that is not JSON, is a ``GraphParseError`` naming line and column.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .utils import sorted_unique, utf8_error
+from .utils import json_message, read_text, sorted_unique
 
 EXPORT_FORMATS = ("edge-list", "graphml", "dot", "csv")
 
@@ -348,16 +351,17 @@ def profiles_to_jsonl_bytes(profiles: Mapping[int, Profile]) -> bytes:
 
 def load_profiles(source: str | Path | bytes) -> dict[int, Profile]:
     """Parse a JSON Lines profile file into a node -> Profile map."""
-    name, text = _read_text(source)
+    name, text = read_text(source, GraphParseError)
     profiles: dict[int, Profile] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise GraphParseError(name, line_no, f"bad JSON: {exc.msg}") from exc
+            column = exc.colno + len(raw) - len(raw.lstrip())  # the file's column
+            raise GraphParseError(name, line_no, json_message(exc, column)) from None
         if not isinstance(record, dict):
             raise GraphParseError(name, line_no, "profile record must be an object")
         if any(k.startswith("_") for k in record):
@@ -375,19 +379,6 @@ def load_profiles(source: str | Path | bytes) -> dict[int, Profile]:
 # -- edge-list format ----------------------------------------------------------
 
 
-def _read_text(source: str | Path | bytes) -> tuple[str, str]:
-    """The source's name and its text; bytes that are not UTF-8 are a
-    ``GraphParseError`` naming the line."""
-    if isinstance(source, bytes):
-        name, data = "<bytes>", source
-    else:
-        name, data = str(source), Path(source).read_bytes()
-    try:
-        return name, data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(name, *utf8_error(data, exc)) from None
-
-
 def parse_edge_list(source: str | Path | bytes) -> SocialGraph:
     """Parse whitespace-separated integer pairs, one edge per line.
 
@@ -395,7 +386,7 @@ def parse_edge_list(source: str | Path | bytes) -> SocialGraph:
     ones); other ``#`` lines are comments. Duplicate edges collapse
     silently; a self-loop is a parse error.
     """
-    name, text = _read_text(source)
+    name, text = read_text(source, GraphParseError)
     nodes: set[int] = set()
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -484,7 +475,7 @@ def read_table(
     line, cells). Lines are numbered before ``#`` comment lines are dropped,
     so the numbers are the file's; blank rows are skipped. A file without a
     header row is a ``GraphParseError``."""
-    name, text = _read_text(source)
+    name, text = read_text(source, GraphParseError)
     lines = text.splitlines()
     kept = [no for no, line in enumerate(lines) if not line.startswith("#")]
     reader = csv.reader([lines[no] for no in kept])

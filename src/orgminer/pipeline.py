@@ -235,17 +235,10 @@ def ranking_artifacts(
 
 
 def community_artifacts(
-    graph: SocialGraph, rules: Sequence[RoleRule] | None = None
-) -> tuple[Partition, dict[str, bytes]]:
-    return _community_files(graph, detect_communities(graph), rules)
-
-
-def _community_files(
     graph: SocialGraph, partition: Partition, rules: Sequence[RoleRule] | None = None
-) -> tuple[Partition, dict[str, bytes]]:
-    """``community_artifacts`` for a partition detected already."""
+) -> dict[str, bytes]:
     rows = community_report(infer_roles(graph, partition, rules))
-    return partition, {
+    return {
         "communities.csv": partition_table_bytes(partition),
         "community_report.csv": report_table_bytes(rows),
     }
@@ -315,27 +308,26 @@ def _helper():
     # fork, not spawn: a spawned helper would first import numpy, scipy and
     # the analysis modules again, about 0.25 s, as long as both jobs
     fork = multiprocessing.get_context("fork")
-    pools = []
+    pool = None  # the one helper, alive or ended
 
     def submit(fn, *args):
+        nonlocal pool
         if hasattr(fn, "__wrapped__"):
             return partial(fn, *args)
-        if pools:
-            pools[-1].shutdown()
+        if pool is not None:
+            pool.shutdown()
         # the job reaches the helper in fork's copy of this process, not
         # through pickle, so any callable will do; only its value is pickled
-        pools.append(
-            ProcessPoolExecutor(1, mp_context=fork, initializer=_hold, initargs=(fn, args))
-        )
+        pool = ProcessPoolExecutor(1, mp_context=fork, initializer=_hold, initargs=(fn, args))
         try:
-            return pools[-1].submit(_run_held).result
+            return pool.submit(_run_held).result
         except OSError:  # the fork failed, so there is no helper to run it
             return partial(fn, *args)
 
     try:
         yield submit
     finally:
-        for pool in pools:
+        if pool is not None:
             pool.shutdown()
 
 
@@ -471,8 +463,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Echo = None) -> PipelineResult:
                 artifacts |= write_artifacts(out, files, chash)
 
         with _stage("communities"):
-            partition, files = _community_files(graph, detection())
-            artifacts |= write_artifacts(out, files, chash)
+            partition = detection()
+            artifacts |= write_artifacts(out, community_artifacts(graph, partition), chash)
 
     with _stage("export"):
         anon, id_map = anonymize(graph, seed=stage_seeds["anonymize"])

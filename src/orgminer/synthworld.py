@@ -372,33 +372,35 @@ def generate_world(spec: WorldSpec) -> World:
         background = np.sort(order[cursor:])
 
         # Split each org into communities, again shuffled so community id and
-        # node id stay uncorrelated.
+        # node id stay uncorrelated, each with its planted category and location.
         node_org: dict[int, int | None] = dict.fromkeys(ids)
         node_community: dict[int, int | None] = dict.fromkeys(ids)
         communities: dict[int, np.ndarray] = {}
-        community_org: dict[int, int] = {}
-        next_community = 0
+        community_info: dict[int, CommunityInfo] = {}
+        org_community_ids: list[list[int]] = []
         for oi, org in enumerate(spec.orgs):
             for v in org_members[oi].tolist():
                 node_org[v] = oi
             shuffled = rng.permutation(org_members[oi])
             sizes = apportion(org.size, [1.0] * org.community_count)
+            org_community_ids.append([])
             offset = 0
-            for size in sizes:
-                members = np.sort(shuffled[offset : offset + size])
-                communities[next_community] = members
-                community_org[next_community] = oi
-                for v in members.tolist():
-                    node_community[v] = next_community
+            for local_index, size in enumerate(sizes):
+                c = len(communities)
+                communities[c] = np.sort(shuffled[offset : offset + size])
+                community_info[c] = CommunityInfo(
+                    community=c,
+                    org=oi,
+                    members=tuple(communities[c].tolist()),
+                    category=CATEGORY_CYCLE[local_index % len(CATEGORY_CYCLE)],
+                    location=org.location_labels[local_index % len(org.location_labels)],
+                )
+                node_community.update(dict.fromkeys(community_info[c].members, c))
+                org_community_ids[oi].append(c)
                 offset += size
-                next_community += 1
 
         # Edge classes partition the set of node pairs; each is sampled once.
         pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        org_community_ids = [
-            [c for c in communities if community_org[c] == oi]
-            for oi in range(len(spec.orgs))
-        ]
         for oi, org in enumerate(spec.orgs):
             cids = org_community_ids[oi]
             intra, inter = org.intra_community_edge_prob, org.inter_community_edge_prob
@@ -456,19 +458,6 @@ def generate_world(spec: WorldSpec) -> World:
                             boost_edges.append((x, y))
         bu, bv = np.array(boost_edges, dtype=np.int64).reshape(-1, 2).T
         eu, ev = np.concatenate((eu, bu)), np.concatenate((ev, bv))
-
-        # Per-community planted category and location.
-        community_info: dict[int, CommunityInfo] = {}
-        for c in sorted(communities):
-            org = spec.orgs[community_org[c]]
-            local_index = org_community_ids[community_org[c]].index(c)
-            community_info[c] = CommunityInfo(
-                community=c,
-                org=community_org[c],
-                members=tuple(communities[c].tolist()),
-                category=CATEGORY_CYCLE[local_index % len(CATEGORY_CYCLE)],
-                location=org.location_labels[local_index % len(org.location_labels)],
-            )
 
         profiles, locations, disclosure = _draw_profiles(
             rng, spec, node_org, node_community, community_info, managers

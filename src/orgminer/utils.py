@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, stable hashing, atomic writes,
-the position of a failed UTF-8 decode, the JSON document reader, the typed
+``read_text`` (the reader of every input file) and ``read_json``, the typed
 decoder of settings dataclasses, the keyword normalizer, apportionment, a
 sorted unique of int arrays, and a cyclic-GC pause for bulk builds."""
 
@@ -13,7 +13,7 @@ import os
 from dataclasses import MISSING, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,32 +42,41 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def utf8_error(data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
-    """The line of ``data`` that ``exc``, its failed UTF-8 decode, points
-    at, and a message naming the column (both counted from 1, the column
-    in bytes)."""
-    line_start = data.rfind(b"\n", 0, exc.start) + 1
-    column = exc.start - line_start + 1
-    return data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} at column {column}"
-
-
-def read_json(source: str | Path | bytes, error: type[Exception]):
-    """The JSON value in the file at ``source``, or in a document's bytes
-    (named ``<bytes>``). Bytes that are not UTF-8 or text that does not
-    parse raise ``error`` naming the file and line."""
+def read_text(
+    source: str | Path | bytes, error: Callable[[str, int, str], Exception]
+) -> tuple[str, str]:
+    """The name and text of the file at ``source`` or of a document's bytes
+    (named ``<bytes>``). Bytes that are not UTF-8 raise ``error(name, line,
+    message)``, the message naming the column (both from 1, the column in bytes)."""
     if isinstance(source, bytes):
         name, data = "<bytes>", source
     else:
         name, data = str(source), Path(source).read_bytes()
     try:
-        return json.loads(data.decode("utf-8"))
+        return name, data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line, message = utf8_error(data, exc)
-        raise error(f"{name}:{line}: {message}") from None
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - line_start + 1
+        raise error(name, line, f"not UTF-8: {exc.reason} at column {column}") from None
+
+
+def json_message(exc: json.JSONDecodeError, column: int) -> str:
+    """The message of a failed JSON parse, naming its column."""
+    # some messages end in "at" already ("Unterminated string starting at")
+    at = "" if exc.msg.endswith(" at") else " at"
+    return f"bad JSON: {exc.msg}{at} column {column}"
+
+
+def read_json(source: str | Path | bytes, error: type[Exception]):
+    """The JSON value that ``read_text`` reads from ``source``. Bytes that
+    are not UTF-8 or text that does not parse raise ``error`` naming the
+    file and line."""
+    name, text = read_text(source, lambda name, line, message: error(f"{name}:{line}: {message}"))
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        # some messages end in "at" already ("Unterminated string starting at")
-        at = "" if exc.msg.endswith(" at") else " at"
-        raise error(f"{name}:{exc.lineno}: bad JSON: {exc.msg}{at} column {exc.colno}") from None
+        raise error(f"{name}:{exc.lineno}: {json_message(exc, exc.colno)}") from None
 
 
 def decode_dataclass(cls, data, error: type[Exception], what: str):

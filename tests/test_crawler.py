@@ -630,6 +630,20 @@ def test_v2_checkpoint_inside_the_window_resumes_to_the_same_bytes(
     assert resumed.state.to_json_bytes() == straight.state.to_json_bytes()
 
 
+@pytest.mark.parametrize("runner", [crawl, bfs_crawl])
+def test_resuming_a_window_stopped_crawl_stops_at_once(tmp_path, runner):
+    stopped, _ = _sterile_window_crawl(runner)
+    assert stopped.stats.stop_reason == "window-stop"
+    assert len(stopped.state.frontier) > 0  # only the window stops it
+    path = tmp_path / "state.json"
+    save_state(stopped.state, path)
+    src = generate_world(crawl_world_spec(6)).fresh_source()
+    again = runner(src, stopped.state.config, state=resume(path, src))
+    assert again.stats.stop_reason == "window-stop"
+    assert src.fetch_count == 0
+    assert again.state.to_json_bytes() == path.read_bytes()
+
+
 # -- save / resume ------------------------------------------------------------
 
 

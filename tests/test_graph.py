@@ -227,6 +227,29 @@ def test_load_profiles_rejects_a_malformed_record(case):
     assert str(info.value) == prefix + message
 
 
+def test_load_profiles_skips_a_provenance_line():
+    data = b'{"_config_hash": "abc"}\n' + profiles_to_jsonl_bytes({3: Profile(node=3)})
+    assert load_profiles(data) == {3: Profile(node=3)}
+
+
+def test_load_profiles_names_the_line_of_a_repeated_node():
+    data = profiles_to_jsonl_bytes({3: Profile(node=3)}) * 2
+    with pytest.raises(GraphParseError) as info:
+        load_profiles(data)
+    assert str(info.value) == "<bytes>:2: duplicate profile for node 3"
+
+
+@pytest.mark.parametrize("line, column", [('{"node": 1,', 12), ('  {"node": 1,', 14)])
+def test_load_profiles_names_the_line_and_column_of_a_line_that_is_not_json(line, column):
+    data = profiles_to_jsonl_bytes({3: Profile(node=3)}) + line.encode()
+    with pytest.raises(GraphParseError) as info:
+        load_profiles(data)
+    assert str(info.value) == (
+        f"<bytes>:2: bad JSON: Expecting property name enclosed in double quotes "
+        f"at column {column}"
+    )
+
+
 def test_load_profiles_accepts_null_optional_fields():
     record = {"node": 4, "name": None, "position": None, "location": None,
               "employers": [], "is_org_member": None, "is_manager": None}

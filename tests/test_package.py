@@ -2,6 +2,7 @@
 loads. The crawl path (utils, graph, synthworld, crawler) loads eagerly;
 the analysis modules load on first use."""
 
+import ast
 import importlib
 import json
 import os
@@ -168,3 +169,15 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     out = _run(script).splitlines()
     assert out[-1] == "[]", out
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in sorted((SRC / "orgminer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "orgminer")
+            if sibling:
+                private += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and alias.name != "__version__"]
+    assert private == []

@@ -130,7 +130,7 @@ def test_world_communities_are_pinned(seed):
     vote's thresholds and tie-breaks decide rows, which the pipeline world's
     large, well-labeled communities never exercise."""
     world, _ = crawl_world(seed)
-    _, files = community_artifacts(world.graph)
+    files = community_artifacts(world.graph, detect_communities(world.graph))
     got = {(seed, name): hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert got == {key: h for key, h in PINNED_WORLD_COMMUNITIES.items() if key[0] == seed}
 

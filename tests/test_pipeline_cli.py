@@ -333,6 +333,35 @@ def test_pipeline_import_failure_names_the_stage(tmp_path):
     assert err.value.stage == "import"
 
 
+def test_pipeline_crawls_from_explicit_seeds_and_notes_those_outside_the_org(
+    world_files, tmp_path
+):
+    # the world this run generates: the master seed replaces the spec's own
+    world = generate_world(replace(world_files["world"].spec, rng_seed=derive_seed(7, "world")))
+    members = org_members(world)
+    outsider = next(v for v in world.graph.nodes if v not in members)
+    seeds = (members[5], outsider, members[0])
+    out = tmp_path / "out"
+    cfg = PipelineConfig(out_dir=str(out), world_spec=str(world_files["spec"]), master_seed=7,
+                         crawl=CrawlSettings(max_fetches=300, seeds=seeds))
+    echoed: list[str] = []
+    result = run_pipeline(cfg, echo=echoed.append)
+    notice = f"crawl seeds outside target org: [{outsider}]"
+    assert result.notices[0] == notice and echoed == list(result.notices)
+    assert json.loads((out / "crawl_stats.json").read_text())["seeds"] == list(seeds)
+    assert f"notice: {notice}" in (out / "report.txt").read_text().splitlines()
+
+
+def test_pipeline_rejects_a_target_org_past_the_worlds_orgs(world_files, tmp_path):
+    out = tmp_path / "out"
+    cfg = PipelineConfig(out_dir=str(out), world_spec=str(world_files["spec"]),
+                         crawl=CrawlSettings(target_org=1))
+    with pytest.raises(PipelineError, match="target_org 1 out of range") as info:
+        run_pipeline(cfg)
+    assert info.value.stage == "crawl"
+    assert {p.name for p in out.iterdir()} == STAGE_FILES["generate"]
+
+
 # -- the helper process -----------------------------------------------------------
 
 # each stage's files, in stage order
